@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .hilbert import ProjectorLayout
 from .solver import (
     InterferenceSolution,
     classify_exemplars,
+    compute_deviations,
     measure_residuals,
     solve,
 )
@@ -88,25 +90,48 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise _UsageError(f"non-numeric value in {what}: {text!r}") from None
 
 
-def _load_normalized(path: str, tolerance: float) -> tuple[TypicalityTable, TypicalityTable]:
-    """(raw, normalized) tables from a CSV path."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = parse_table(text)
-    return raw, validate_and_normalize(raw, tolerance)
-
-
 def complex_pairs(vector: np.ndarray) -> list[dict[str, float]]:
-    return [{"re": float(z.real), "im": float(z.imag)} for z in vector]
+    return [
+        {"re": re, "im": im}
+        for re, im in zip(vector.real.tolist(), vector.imag.tolist())
+    ]
 
 
-def _dataset_block(raw: TypicalityTable) -> dict:
+def _exemplar_rows(
+    table: TypicalityTable, deviations: np.ndarray, model: dict
+) -> list[dict]:
+    """One report row per exemplar: index, name, the table's columns, the
+    classical average, the deviation, then any model columns, in order."""
+    columns = {
+        "mu_a": table.mu_a,
+        "mu_b": table.mu_b,
+        "mu_ab": table.mu_ab,
+        "average": 0.5 * (table.mu_a + table.mu_b),
+        "deviation": deviations,
+        **model,
+    }
+    keys = ("index", "name", *columns)
+    values = (np.asarray(column).tolist() for column in columns.values())
+    rows = zip(range(1, table.n + 1), table.names, *values)
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def _report(
+    raw: TypicalityTable, exemplars: list[dict], model: dict, feasibility: dict
+) -> dict:
     return {
-        "label_a": raw.label_a,
-        "label_b": raw.label_b,
-        "combination_label": raw.combination_label,
-        "n": raw.n,
-        "column_sums_raw": raw.column_sums(),
-        "notes": list(raw.notes),
+        "tool": {"name": "concept-interference", "version": __version__},
+        "dataset": {
+            "label_a": raw.label_a,
+            "label_b": raw.label_b,
+            "combination_label": raw.combination_label,
+            "n": raw.n,
+            "column_sums_raw": raw.column_sums(),
+            "notes": list(raw.notes),
+        },
+        "exemplars": exemplars,
+        **model,
+        "feasibility": feasibility,
     }
 
 
@@ -120,46 +145,31 @@ def build_solve_report(
     All values are stored at full precision, so the report round-trips
     losslessly through its JSON encoding.
     """
-    classification = dict(classify_exemplars(solution))
-    exemplars = []
-    for i, record in enumerate(table.records):
-        exemplars.append(
-            {
-                "index": record.index,
-                "name": record.name,
-                "mu_a": record.mu_a,
-                "mu_b": record.mu_b,
-                "mu_ab": record.mu_ab,
-                "average": 0.5 * (record.mu_a + record.mu_b),
-                "deviation": float(solution.deviations[i]),
-                "lambda": float(solution.lambdas[i]),
-                "phi_deg": float(solution.phi_deg[i]),
-                "beta_deg": float(solution.beta_deg[i]),
-                "c": float(solution.c[i]),
-                "classification": classification[record.index].value,
-            }
-        )
-    residuals = solution.residuals
-    return {
-        "tool": {"name": "concept-interference", "version": __version__},
-        "dataset": _dataset_block(raw),
-        "exemplars": exemplars,
+    labels = [label.value for _, label in classify_exemplars(solution)]
+    exemplars = _exemplar_rows(
+        table,
+        solution.deviations,
+        {
+            "lambda": solution.lambdas,
+            "phi_deg": solution.phi_deg,
+            "beta_deg": solution.beta_deg,
+            "c": solution.c,
+            "classification": labels,
+        },
+    )
+    model = {
         "m": solution.m,
         "c_m": solution.c_m,
         "vector_a": complex_pairs(solution.vector_a),
         "vector_b": complex_pairs(solution.vector_b),
-        "residuals": {
-            "orthogonality_modulus": residuals.orthogonality_modulus,
-            "norm_a_error": residuals.norm_a_error,
-            "norm_b_error": residuals.norm_b_error,
-            "max_reconstruction_error": residuals.max_reconstruction_error,
-        },
-        "feasibility": {
-            "infeasible_exemplars": [],
-            "cm_violation": None,
-            "diagnostic": None,
-        },
+        "residuals": asdict(solution.residuals),
     }
+    feasibility = {
+        "infeasible_exemplars": [],
+        "cm_violation": None,
+        "diagnostic": None,
+    }
+    return _report(raw, exemplars, model, feasibility)
 
 
 def build_infeasible_report(
@@ -181,35 +191,14 @@ def build_infeasible_report(
                     "radicand": radicand,
                 }
             )
-    average = 0.5 * (table.mu_a + table.mu_b)
-    deviation = table.mu_ab - average
-    exemplars = [
-        {
-            "index": record.index,
-            "name": record.name,
-            "mu_a": record.mu_a,
-            "mu_b": record.mu_b,
-            "mu_ab": record.mu_ab,
-            "average": float(average[i]),
-            "deviation": float(deviation[i]),
-        }
-        for i, record in enumerate(table.records)
-    ]
-    return {
-        "tool": {"name": "concept-interference", "version": __version__},
-        "dataset": _dataset_block(raw),
-        "exemplars": exemplars,
-        "m": None,
-        "c_m": None,
-        "vector_a": None,
-        "vector_b": None,
-        "residuals": None,
-        "feasibility": {
-            "infeasible_exemplars": infeasible,
-            "cm_violation": cm_violation,
-            "diagnostic": str(error),
-        },
+    exemplars = _exemplar_rows(table, compute_deviations(table), {})
+    model = dict.fromkeys(("m", "c_m", "vector_a", "vector_b", "residuals"))
+    feasibility = {
+        "infeasible_exemplars": infeasible,
+        "cm_violation": cm_violation,
+        "diagnostic": str(error),
     }
+    return _report(raw, exemplars, model, feasibility)
 
 
 def _write_json(report: dict, output: str | None) -> None:
@@ -220,30 +209,42 @@ def _write_json(report: dict, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _run_solve(args) -> int:
+def _load_and_solve(args):
+    """(raw, normalized table, solution, None) for ``args.input``, or
+    (raw, table, None, error) when the model cannot be built."""
+    raw = parse_table(Path(args.input).read_text(encoding="utf-8"))
+    table = validate_and_normalize(raw, args.tolerance)
     try:
-        thresholds = Thresholds.from_env()
-        raw, table = _load_normalized(args.input, args.tolerance)
-    except (OSError, ConceptInterferenceError) as exc:
-        return _fail(str(exc))
-    try:
-        solution = solve(table)
+        return raw, table, solve(table), None
     except (InfeasibilityError, DegeneracyError) as exc:
-        try:
-            _write_json(build_infeasible_report(raw, table, exc), args.output)
-        except OSError as io_exc:
-            return _fail(str(io_exc))
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
-        _write_json(build_solve_report(raw, table, solution), args.output)
-    except OSError as exc:
-        return _fail(str(exc))
+        return raw, table, None, exc
+
+
+def _infeasible(error: ConceptInterferenceError) -> int:
+    print(f"infeasible: {error}", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
+def _over_thresholds(residuals, thresholds: Thresholds) -> dict[str, float]:
+    """Residual name -> threshold, for each residual above its threshold."""
+    return {
+        key: getattr(thresholds, threshold_key)
+        for key, threshold_key in _RESIDUAL_THRESHOLD_KEYS
+        if getattr(residuals, key) > getattr(thresholds, threshold_key)
+    }
+
+
+def _run_solve(args) -> int:
+    thresholds = Thresholds.from_env()
+    raw, table, solution, error = _load_and_solve(args)
+    if error is not None:
+        _write_json(build_infeasible_report(raw, table, error), args.output)
+        return _infeasible(error)
+    _write_json(build_solve_report(raw, table, solution), args.output)
     residuals = solution.residuals
     over = [
-        f"{key} = {getattr(residuals, key):.3e} > {getattr(thresholds, tkey):.0e}"
-        for key, tkey in _RESIDUAL_THRESHOLD_KEYS
-        if getattr(residuals, key) > getattr(thresholds, tkey)
+        f"{key} = {getattr(residuals, key):.3e} > {threshold:.0e}"
+        for key, threshold in _over_thresholds(residuals, thresholds).items()
     ]
     if over:
         print("model residuals over thresholds: " + "; ".join(over), file=sys.stderr)
@@ -254,80 +255,60 @@ def _run_solve(args) -> int:
 def _run_render(args) -> int:
     if args.resolution < 2:
         return _fail(f"resolution must be at least 2, got {args.resolution}")
-    try:
-        raw, table = _load_normalized(args.input, args.tolerance)
-    except (OSError, ConceptInterferenceError) as exc:
-        return _fail(str(exc))
-    try:
-        solution = solve(table)
-    except (InfeasibilityError, DegeneracyError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
-        if args.centers is not None:
-            x1, y1, x2, y2 = _parse_floats(args.centers, 4, "--centers")
-            center_a, center_b = (x1, y1), (x2, y2)
-        else:
-            center_a, center_b = DEFAULT_CENTER_A, DEFAULT_CENTER_B
-        field_a, field_b = fit_gaussian_fields(table, center_a, center_b)
-        placements = place_exemplars(table, field_a, field_b)
-        if args.phase_constant is not None:
-            phase = ConstantPhaseField(args.phase_constant)
-        else:
-            phase = interpolate_phase(placements, solution.phi_deg)
-        if args.window is not None:
-            window = _parse_floats(args.window, 4, "--window")
-        else:
-            window = default_window(placements, field_a, field_b)
-        grids = render_grids(
-            field_a, field_b, phase, window, (args.resolution, args.resolution)
-        )
-    except (_UsageError, ConceptInterferenceError) as exc:
-        return _fail(str(exc))
+    _, table, solution, error = _load_and_solve(args)
+    if error is not None:
+        return _infeasible(error)
+    if args.centers is not None:
+        x1, y1, x2, y2 = _parse_floats(args.centers, 4, "--centers")
+        center_a, center_b = (x1, y1), (x2, y2)
+    else:
+        center_a, center_b = DEFAULT_CENTER_A, DEFAULT_CENTER_B
+    field_a, field_b = fit_gaussian_fields(table, center_a, center_b)
+    placements = place_exemplars(table, field_a, field_b)
+    if args.phase_constant is not None:
+        phase = ConstantPhaseField(args.phase_constant)
+    else:
+        phase = interpolate_phase(placements, solution.phi_deg)
+    if args.window is not None:
+        window = _parse_floats(args.window, 4, "--window")
+    else:
+        window = default_window(placements, field_a, field_b)
+    grids = render_grids(
+        field_a, field_b, phase, window, (args.resolution, args.resolution)
+    )
     out_dir = Path(args.output)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, grid in grids.items():
-            (out_dir / f"{name}.csv").write_text(grid_to_csv(grid), encoding="utf-8")
-            (out_dir / f"{name}.pgm").write_bytes(grid_to_pgm(grid))
-        (out_dir / "placements.csv").write_text(
-            placements_to_csv(placements), encoding="utf-8"
-        )
-    except OSError as exc:
-        return _fail(str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, grid in grids.items():
+        (out_dir / f"{name}.csv").write_text(grid_to_csv(grid), encoding="utf-8")
+        (out_dir / f"{name}.pgm").write_bytes(grid_to_pgm(grid))
+    (out_dir / "placements.csv").write_text(
+        placements_to_csv(placements), encoding="utf-8"
+    )
     print(f"wrote {len(grids) * 2 + 1} files to {out_dir}")
     return EXIT_OK
 
 
 def _run_classify(args) -> int:
-    try:
-        raw, table = _load_normalized(args.input, args.tolerance)
-    except (OSError, ConceptInterferenceError) as exc:
-        return _fail(str(exc))
-    try:
-        solution = solve(table)
-    except (InfeasibilityError, DegeneracyError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
-    classification = classify_exemplars(solution)
+    _, table, solution, error = _load_and_solve(args)
+    if error is not None:
+        return _infeasible(error)
+    labels = np.array([label.value for _, label in classify_exemplars(solution)])
     cos_phi = np.cos(np.radians(solution.phi_deg))
-    sections = {"Weakening": [], "Strengthening": [], "Classical": []}
-    for (index, label), cosine in zip(classification, cos_phi):
-        sections[label.value].append((index, float(cosine)))
     # Strongest interference effect first: most negative cosine heads the
-    # weakening list, most positive heads the strengthening list.
-    sections["Weakening"].sort(key=lambda item: (item[1], item[0]))
-    sections["Strengthening"].sort(key=lambda item: (-item[1], item[0]))
-    sections["Classical"].sort()
-
-    for title in ("Weakening", "Strengthening", "Classical"):
-        rows = sections[title]
-        if title == "Classical" and not rows:
+    # weakening list, most positive heads the strengthening list; ties and
+    # the classical list go by index.
+    for title, key in (
+        ("Weakening", cos_phi),
+        ("Strengthening", -cos_phi),
+        ("Classical", None),
+    ):
+        rows = np.flatnonzero(labels == title)
+        if title == "Classical" and not rows.size:
             continue
-        print(f"{title} ({len(rows)} exemplar(s)):")
-        for index, _ in rows:
-            i = index - 1
+        if key is not None:
+            rows = rows[np.argsort(key[rows], kind="stable")]
+        print(f"{title} ({rows.size} exemplar(s)):")
+        for i in rows.tolist():
             print(
                 f"  {table.names[i]:<16} phi = {solution.phi_deg[i]:>10.4f} deg"
                 f"   deviation = {solution.deviations[i]:+.4f}"
@@ -359,10 +340,10 @@ def _table_from_report(data: dict) -> TypicalityTable:
 
 
 def _run_verify(args) -> int:
+    thresholds = Thresholds.from_env()
     try:
-        thresholds = Thresholds.from_env()
         data = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, ConceptInterferenceError) as exc:
+    except json.JSONDecodeError as exc:
         return _fail(str(exc))
     try:
         if data.get("vector_a") is None or data.get("vector_b") is None:
@@ -379,21 +360,19 @@ def _run_verify(args) -> int:
             for key, _ in _RESIDUAL_THRESHOLD_KEYS
         }
         layout = ProjectorLayout(table.n, int(data["m"]))
+        recomputed = measure_residuals(vector_a, vector_b, table, layout)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"malformed report: {exc!r}")
 
-    recomputed = measure_residuals(vector_a, vector_b, table, layout)
+    over = _over_thresholds(recomputed, thresholds)
     failures = []
-    for key, threshold_key in _RESIDUAL_THRESHOLD_KEYS:
+    for key, _ in _RESIDUAL_THRESHOLD_KEYS:
         value = getattr(recomputed, key)
         print(f"{key} = {value:.6e}")
         if abs(value - stored[key]) > 1e-12:
             failures.append(f"{key} differs from the stored value {stored[key]!r}")
-        if value > getattr(thresholds, threshold_key):
-            failures.append(
-                f"{key} = {value:.3e} over threshold "
-                f"{getattr(thresholds, threshold_key):.0e}"
-            )
+        if key in over:
+            failures.append(f"{key} = {value:.3e} over threshold {over[key]:.0e}")
     if failures:
         for failure in failures:
             print(f"verification failed: {failure}", file=sys.stderr)
@@ -490,7 +469,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    # usage, I/O and data errors from any command: exit 1 with the message;
+    # the commands themselves turn infeasibility into exit 2
+    except (_UsageError, OSError, ConceptInterferenceError) as exc:
         return _fail(str(exc))
 
 

@@ -22,6 +22,7 @@ whitespace.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, replace
@@ -84,13 +85,22 @@ class ExemplarRecord:
 
 @dataclass(frozen=True)
 class TypicalityTable:
-    """Ordered exemplar records plus concept labels and free-form notes."""
+    """Ordered exemplar records plus concept labels and free-form notes.
+
+    ``names`` and the three probability columns ``mu_a``, ``mu_b`` and
+    ``mu_ab`` are built once from the records, the columns as read-only
+    float64 arrays; equality and hashing stay on records, labels and notes.
+    """
 
     records: tuple[ExemplarRecord, ...]
     label_a: str = "A"
     label_b: str = "B"
     combination_label: str = "A or B"
     notes: tuple[str, ...] = ()
+    names: tuple[str, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    mu_a: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    mu_b: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    mu_ab: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -109,33 +119,19 @@ class TypicalityTable:
             _check_text(key, getattr(self, key), allow_empty=True)
         for note in self.notes:
             _check_text("note", note)
+        object.__setattr__(self, "names", tuple(r.name for r in self.records))
+        for name in _COLUMN_FIELDS:
+            column = np.array([getattr(r, name) for r in self.records], dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n(self) -> int:
         return len(self.records)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.records)
-
-    @property
-    def mu_a(self) -> np.ndarray:
-        return np.array([r.mu_a for r in self.records])
-
-    @property
-    def mu_b(self) -> np.ndarray:
-        return np.array([r.mu_b for r in self.records])
-
-    @property
-    def mu_ab(self) -> np.ndarray:
-        return np.array([r.mu_ab for r in self.records])
-
     def column_sums(self) -> dict[str, float]:
         """Compensated sums of the three probability columns."""
-        return {
-            field: math.fsum(getattr(r, field) for r in self.records)
-            for field in _COLUMN_FIELDS
-        }
+        return {name: math.fsum(getattr(self, name).tolist()) for name in _COLUMN_FIELDS}
 
 
 def parse_table(source: str | TextIO) -> TypicalityTable:
@@ -250,12 +246,13 @@ def validate_and_normalize(
         raise ValidationError(f"tolerance must be positive, got {tolerance!r}")
     if table.n < 2:
         raise ValidationError(f"need at least 2 exemplars, got {table.n}")
-    for record in table.records:
-        if record.mu_a == 0.0 or record.mu_b == 0.0:
-            raise DegeneracyError(
-                f"exemplar {record.index} ({record.name}) has a zero marginal "
-                "probability; its interference phase would be undefined"
-            )
+    zero = np.flatnonzero((table.mu_a == 0.0) | (table.mu_b == 0.0))
+    if zero.size:
+        record = table.records[zero[0]]
+        raise DegeneracyError(
+            f"exemplar {record.index} ({record.name}) has a zero marginal "
+            "probability; its interference phase would be undefined"
+        )
 
     scales: dict[str, float | None] = {}
     for field, total in table.column_sums().items():

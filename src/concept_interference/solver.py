@@ -42,8 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TypicalityTable
-from .errors import DegeneracyError, InfeasibilityError, ValidationError
-from .hilbert import ProjectorLayout, inner_product, norm, project_probability
+from .errors import (
+    DegeneracyError,
+    DimensionError,
+    InfeasibilityError,
+    ValidationError,
+)
+from .hilbert import ProjectorLayout, as_state_vector, inner_product, norm
 
 # Deviations within this of zero count as classical (no interference).
 CLASSICAL_DEVIATION_TOLERANCE = 1e-12
@@ -59,6 +64,13 @@ class Classification(enum.Enum):
     WEAKENING = "Weakening"
     STRENGTHENING = "Strengthening"
     CLASSICAL = "Classical"
+
+
+# Indexed by the deviation's sign: 0, +1, and -1 (the last entry).
+_LABEL_BY_SIGN = np.array(
+    [Classification.CLASSICAL, Classification.STRENGTHENING, Classification.WEAKENING],
+    dtype=object,
+)
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,23 @@ def _checked_magnitudes(magnitudes) -> np.ndarray:
     return mags
 
 
+def _greedy_signs(mags: np.ndarray) -> tuple[list[int], np.ndarray, list[float]]:
+    """Visit order, signs (table order) and running sums (visit order)."""
+    order = np.argsort(-mags, kind="stable").tolist()  # decreasing, ties by index
+    values = mags.tolist()
+    signs = np.ones(mags.size, dtype=int)
+    running = values[order[0]]
+    running_sums = [running]
+    for i in order[1:]:
+        if running - values[i] >= 0.0:
+            signs[i] = -1
+            running -= values[i]
+        else:
+            running += values[i]
+        running_sums.append(running)
+    return order, signs, running_sums
+
+
 def sign_assignment_trace(magnitudes) -> list[SignStep]:
     """Full greedy trace: visit order, chosen signs, running sums.
 
@@ -159,28 +188,18 @@ def sign_assignment_trace(magnitudes) -> list[SignStep]:
     "-" if the running sum stays >= 0 after subtraction, else "+".
     """
     mags = _checked_magnitudes(magnitudes)
-    order = sorted(range(mags.size), key=lambda i: (-mags[i], i))
-    first = order[0]
-    running = float(mags[first])
-    steps = [SignStep(first + 1, float(mags[first]), +1, running)]
-    for i in order[1:]:
-        if running - mags[i] >= 0.0:
-            sign = -1
-            running -= float(mags[i])
-        else:
-            sign = +1
-            running += float(mags[i])
-        steps.append(SignStep(i + 1, float(mags[i]), sign, running))
-    return steps
+    order, signs, running_sums = _greedy_signs(mags)
+    values, sign_values = mags.tolist(), signs.tolist()
+    return [
+        SignStep(i + 1, values[i], sign_values[i], running)
+        for i, running in zip(order, running_sums)
+    ]
 
 
 def assign_signs(magnitudes) -> tuple[np.ndarray, int]:
     """Signs (+1/-1 per entry, table order) and the distinguished index m."""
-    steps = sign_assignment_trace(magnitudes)
-    signs = np.zeros(len(steps), dtype=int)
-    for step in steps:
-        signs[step.index - 1] = step.sign
-    return signs, steps[0].index
+    order, signs, _ = _greedy_signs(_checked_magnitudes(magnitudes))
+    return signs, order[0] + 1
 
 
 def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
@@ -197,7 +216,7 @@ def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
         raise ValidationError("lambdas must be finite, one per exemplar")
     if not 1 <= m <= n:
         raise ValidationError(f"m must be in 1..{n}, got {m}")
-    off_sum = math.fsum(lambdas[i] for i in range(n) if i != m - 1)
+    off_sum = math.fsum(np.delete(lambdas, m - 1).tolist())
     deviation_m = float(compute_deviations(table)[m - 1])
     product_m = float(table.mu_a[m - 1] * table.mu_b[m - 1])
     if product_m <= 0.0:
@@ -236,21 +255,22 @@ def compute_phases(
     lambdas = np.asarray(lambdas, dtype=float)
     if not 0.0 < c_m <= 1.0:
         raise ValidationError(f"c_m must be in (0, 1], got {c_m!r}")
-    deviations = compute_deviations(table)
-    mu_a, mu_b = table.mu_a, table.mu_b
-    phi = np.empty(table.n)
-    for k in range(table.n):
-        c_k = c_m if k == m - 1 else 1.0
-        denominator = c_k * math.sqrt(mu_a[k] * mu_b[k])
-        argument = deviations[k] / denominator
-        if abs(argument) > 1.0 + _ARCCOS_CLAMP_SLACK:
-            raise InfeasibilityError(
-                f"exemplar {k + 1} ({table.names[k]}): phase cosine "
-                f"{argument!r} lies outside [-1, 1]"
-            )
-        argument = min(1.0, max(-1.0, argument))
-        angle = math.degrees(math.acos(argument))
-        phi[k] = angle if lambdas[k] >= 0.0 else -angle
+    c = np.ones(table.n)
+    c[m - 1] = c_m
+    arguments = compute_deviations(table) / (c * np.sqrt(table.mu_a * table.mu_b))
+    outside = np.flatnonzero(np.abs(arguments) > 1.0 + _ARCCOS_CLAMP_SLACK)
+    if outside.size:
+        k = int(outside[0])
+        raise InfeasibilityError(
+            f"exemplar {k + 1} ({table.names[k]}): phase cosine "
+            f"{arguments[k]!r} lies outside [-1, 1]"
+        )
+    # fmax/fmin rather than clip: a 0/0 argument (a marginal product that
+    # underflows to 0 with a zero deviation) clamps to -1 instead of NaN
+    clamped = np.fmin(1.0, np.fmax(-1.0, arguments))
+    # scalar libm acos: np.arccos differs from it in the last ulp on some inputs
+    angle = np.array([math.degrees(math.acos(x)) for x in clamped.tolist()])
+    phi = np.where(lambdas >= 0.0, angle, -angle)
     beta = phi.copy()
     beta[m - 1] = abs(beta[m - 1])
     return phi, beta
@@ -289,12 +309,19 @@ def measure_residuals(
     the worst gap between mu_ab and the superposed-state projection; used
     both when a model is built and to re-check serialized models.
     """
+    n = layout.n
+    vector_a, vector_b = as_state_vector(vector_a), as_state_vector(vector_b)
+    for vector in (vector_a, vector_b):
+        if vector.shape[0] != layout.dimension:
+            raise DimensionError(
+                f"state vector has {vector.shape[0]} coordinates, layout needs "
+                f"{layout.dimension}"
+            )
     superposed = vector_a + vector_b
-    mu_ab = table.mu_ab
-    max_reconstruction = max(
-        abs(0.5 * project_probability(layout, k, superposed) - mu_ab[k - 1])
-        for k in range(1, layout.n + 1)
-    )
+    re, im = superposed.real, superposed.imag
+    probabilities = re[:n] * re[:n] + im[:n] * im[:n]
+    probabilities[layout.m - 1] += re[n] * re[n] + im[n] * im[n]
+    max_reconstruction = np.max(np.abs(0.5 * probabilities - table.mu_ab))
     return VerificationReport(
         orthogonality_modulus=abs(inner_product(vector_a, vector_b)),
         norm_a_error=abs(norm(vector_a) - 1.0),
@@ -328,16 +355,9 @@ def classify_exemplars(
     within 1e-12 of zero; equivalent (for k != m) to comparing |phi_k|
     against 90 degrees.
     """
-    out = []
-    for k, deviation in enumerate(solution.deviations, start=1):
-        if deviation < -CLASSICAL_DEVIATION_TOLERANCE:
-            label = Classification.WEAKENING
-        elif deviation > CLASSICAL_DEVIATION_TOLERANCE:
-            label = Classification.STRENGTHENING
-        else:
-            label = Classification.CLASSICAL
-        out.append((k, label))
-    return out
+    deviations, tolerance = solution.deviations, CLASSICAL_DEVIATION_TOLERANCE
+    sign = (deviations > tolerance).astype(np.intp) - (deviations < -tolerance)
+    return list(enumerate(_LABEL_BY_SIGN[sign].tolist(), start=1))
 
 
 def solve(table: TypicalityTable) -> InterferenceSolution:

@@ -1,9 +1,7 @@
 """Numerical acceptance thresholds, overridable through a config file.
 
-The defaults reflect what an exactly-normalized table achieves (residuals
-at machine precision, far under 1e-9) and what 4-decimal input rounding
-propagates into the published reference columns (5e-4 on magnitudes, half
-a degree on phases).  Point the environment variable named by
+The defaults reflect what an exactly-normalized table achieves: residuals
+at machine precision, far under 1e-9.  Point the environment variable named by
 ``CONFIG_ENV_VAR`` at a ``key=value`` file to override any of them.
 """
 
@@ -23,8 +21,6 @@ class Thresholds:
     orthogonality: float = 1e-9
     norm: float = 1e-9
     reconstruction: float = 1e-9
-    lambda_regression: float = 5e-4
-    phi_regression_deg: float = 0.5
 
     def __post_init__(self):
         for field in fields(self):

@@ -168,10 +168,6 @@ def cos_deg(degrees):
     return np.where(np.mod(degrees, 180.0) == 90.0, 0.0, out)
 
 
-def _argmax_first(values: np.ndarray) -> int:
-    return int(np.argmax(values))  # np.argmax already takes the first maximum
-
-
 def fit_gaussian_fields(
     table: TypicalityTable,
     center_a: tuple[float, float] = DEFAULT_CENTER_A,
@@ -194,8 +190,8 @@ def fit_gaussian_fields(
     if distance == 0.0:
         raise FitError("centers must be distinct")
     mu_a, mu_b = table.mu_a, table.mu_b
-    top_a = _argmax_first(mu_a)
-    top_b = _argmax_first(mu_b)
+    top_a = int(np.argmax(mu_a))
+    top_b = int(np.argmax(mu_b))
     if top_a == top_b:
         raise FitError(
             f"exemplar {top_a + 1} ({table.names[top_a]}) tops both columns; "
@@ -290,8 +286,8 @@ def place_exemplars(
     squared radial violations is used and the residual records that sum.
     """
     mu_a, mu_b = table.mu_a, table.mu_b
-    top_a = _argmax_first(mu_a)
-    top_b = _argmax_first(mu_b)
+    top_a = int(np.argmax(mu_a))
+    top_b = int(np.argmax(mu_b))
     max_a, max_b = float(mu_a.max()), float(mu_b.max())
     placements = []
     for k, name in enumerate(table.names):

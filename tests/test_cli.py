@@ -155,12 +155,15 @@ class TestThresholdConfig:
         assert status == 2
         assert "orthogonality" in capsys.readouterr().err
 
-    def test_unknown_config_key_exits_1(self, dataset_path, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("key", ["typo_key", "lambda_regression"])
+    def test_unknown_config_key_exits_1(
+        self, dataset_path, tmp_path, capsys, monkeypatch, key
+    ):
         config = tmp_path / "thresholds.cfg"
-        config.write_text("typo_key = 1\n")
+        config.write_text(f"{key} = 1\n")
         monkeypatch.setenv("CONCEPT_INTERFERENCE_CONFIG", str(config))
         assert main(["solve", str(dataset_path)]) == 1
-        assert "typo_key" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -187,11 +190,23 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
         capsys.readouterr()
 
-    def test_verify_malformed_report_exits_1(self, dataset_path, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda report: report["residuals"].pop("norm_a_error"),
+            lambda report: report["vector_a"].pop(),
+            lambda report: (report["vector_a"].pop(), report["vector_b"].pop()),
+            lambda report: report["exemplars"].pop(),
+        ],
+        ids=["missing-residual", "short-vector-a", "short-vectors", "missing-row"],
+    )
+    def test_verify_malformed_report_exits_1(
+        self, dataset_path, tmp_path, capsys, corrupt
+    ):
         report_path = tmp_path / "report.json"
         main(["solve", str(dataset_path), "-o", str(report_path)])
         report = json.loads(report_path.read_text())
-        del report["residuals"]["norm_a_error"]
+        corrupt(report)
         report_path.write_text(json.dumps(report))
         assert main(["verify", str(report_path)]) == 1
         assert "malformed report" in capsys.readouterr().err

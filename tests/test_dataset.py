@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,19 @@ class TestTableInvariants:
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ValidationError):
             make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], names=[bad, "ok"])
+
+    def test_columns_and_names_match_records(self, raw_table):
+        records = raw_table.records
+        assert raw_table.names == tuple(r.name for r in records)
+        for field in ("mu_a", "mu_b", "mu_ab"):
+            column = getattr(raw_table, field)
+            assert column.dtype == np.float64
+            assert column.tolist() == [getattr(r, field) for r in records]
+
+    def test_columns_are_read_only(self, raw_table):
+        with pytest.raises(ValueError):
+            raw_table.mu_a[0] = 0.5
+        assert raw_table.mu_a[0] == raw_table.records[0].mu_a
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,71 @@
+"""Pinned sha256 digests of the CLI outputs for the bundled dataset.
+
+A refactor that keeps behaviour must keep these bytes.  The digests were
+recorded with numpy 2.4.6 on CPython 3.11.7, x86_64 Linux (glibc libm).
+The render rasters go through numpy's exp/cos/sqrt and the solve report
+through math.acos, so another numpy build or platform may differ in the
+last ulp of some values; a digest change there must be explained, not
+simply re-recorded.
+"""
+
+import hashlib
+
+import pytest
+
+from concept_interference import fruits_vegetables_csv
+from concept_interference.cli import main
+
+SOLVE_REPORT = "957d059c3fe7ca7080a3397ecdcf1d0d54f4c56ff6f4e390e9805b5cc98bd115"
+VERIFY_STDOUT = "36f46264e2c5d7abdd576ecedbf34fb25ef31f1db58660d49f05a3788f7ef725"
+CLASSIFY_STDOUT = "4f422d4e964b51789900920c4e8181c432bc280173fc5ecfa07dd719166a718c"
+RENDER_FILES = {
+    "a_only.csv": "b636b0b8e63885291ec34c02f2a9d2f6a16cddc2d35c8af8548b097e7e7c730e",
+    "a_only.pgm": "fd5d75ed7a1ef04ddb2d24437bc45a8098e705c220de170619ca27ae2dc55d4a",
+    "b_only.csv": "10f32be37d46541a9ea09b63b14d27a4aba7ed3de37cda97137a45d29d231108",
+    "b_only.pgm": "a266adad0838351f9291789a7d6c488b38709417de0f21b7cf4c8b6e90d21849",
+    "classical.csv": "f6a8981bd60535f02808b8dd351ef8039011f252ee9a768bf18649c3ae1974d0",
+    "classical.pgm": "b58f6c79f9beb5c249586c1944801b8e15d5aadb1d14aa9486d0be09340650fc",
+    "interference.csv": "deb3e51ae342b15c935e2df631d8fee2ad49658f3e239bc35945e5c6b21aad94",
+    "interference.pgm": "ae02936818400b679fef181b962ff114fe079e01ae5b446705ffdcc9a685084a",
+    "placements.csv": "8916baac2a99130cf1c7e5a9b60272bf3c48bad3960543fc7a74cb09d71b4ddb",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def report_path(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    dataset = directory / "fruits_vegetables.csv"
+    dataset.write_text(fruits_vegetables_csv(), encoding="utf-8")
+    report = directory / "report.json"
+    assert main(["solve", str(dataset), "-o", str(report)]) == 0
+    return report
+
+
+def test_solve_report_digest(report_path):
+    assert _sha256(report_path.read_bytes()) == SOLVE_REPORT
+
+
+def test_verify_stdout_digest(report_path, capsys):
+    capsys.readouterr()
+    assert main(["verify", str(report_path)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_STDOUT
+
+
+def test_classify_stdout_digest(report_path, capsys):
+    capsys.readouterr()
+    dataset = report_path.with_name("fruits_vegetables.csv")
+    assert main(["classify", str(dataset)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == CLASSIFY_STDOUT
+
+
+def test_render_file_digests(report_path, capsys):
+    out_dir = report_path.with_name("render")
+    dataset = report_path.with_name("fruits_vegetables.csv")
+    assert main(["render", str(dataset), "-o", str(out_dir)]) == 0
+    capsys.readouterr()
+    digests = {p.name: _sha256(p.read_bytes()) for p in out_dir.iterdir()}
+    assert digests == RENDER_FILES

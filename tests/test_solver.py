@@ -19,6 +19,7 @@ from concept_interference import (
     compute_lambda_magnitudes,
     compute_phases,
     measure_residuals,
+    project_probability,
     sign_assignment_trace,
     solve,
     verify_solution,
@@ -460,3 +461,30 @@ def test_permutation_equivariance(table, rng):
     permuted_labels = dict(classify_exemplars(permuted_solution))
     for position, original in enumerate(order):
         assert permuted_labels[position + 1] == original_labels[original + 1]
+
+
+@given(feasible_tables())
+@settings(max_examples=60, deadline=None)
+def test_reconstruction_error_matches_projector_reference(table):
+    solution = solve_feasible(table)
+    layout = ProjectorLayout(table.n, solution.m)
+    superposed = solution.vector_a + solution.vector_b
+    reference = max(
+        abs(0.5 * project_probability(layout, k, superposed) - table.mu_ab[k - 1])
+        for k in range(1, table.n + 1)
+    )
+    report = measure_residuals(solution.vector_a, solution.vector_b, table, layout)
+    assert report.max_reconstruction_error == reference
+
+
+@given(feasible_tables())
+@settings(max_examples=60, deadline=None)
+def test_assign_signs_agrees_with_trace(table):
+    magnitudes, _ = compute_lambda_magnitudes(table)
+    signs, m = assign_signs(magnitudes)
+    trace = sign_assignment_trace(magnitudes)
+    assert m == trace[0].index
+    assert sorted(step.index for step in trace) == list(range(1, table.n + 1))
+    assert signs.tolist() == [
+        step.sign for step in sorted(trace, key=lambda step: step.index)
+    ]
