@@ -346,6 +346,8 @@ def _run_verify(args) -> int:
     except json.JSONDecodeError as exc:
         return _fail(str(exc))
     try:
+        if not isinstance(data, dict):
+            raise TypeError(f"top level is a JSON {type(data).__name__}, not an object")
         if data.get("vector_a") is None or data.get("vector_b") is None:
             return _fail("report carries no model vectors (infeasible run?)")
         table = _table_from_report(data)

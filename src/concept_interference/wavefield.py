@@ -83,7 +83,9 @@ class PhaseField:
     """Inverse-distance-squared interpolant over exemplar phase nodes.
 
     Exact at every node and clamped to the node extremes, so values never
-    leave [min phi_k, max phi_k].
+    leave [min phi_k, max phi_k].  Evaluation is Shepard's interpolation in
+    its streaming form: one pass over the nodes adds each node's weight and
+    weighted phase into running planes, so memory is O(H*W) for any n.
     """
 
     nodes_xy: np.ndarray
@@ -105,19 +107,38 @@ class PhaseField:
     def evaluate(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        dx = x[None, ...] - self.nodes_xy[:, 0].reshape((-1,) + (1,) * x.ndim)
-        dy = y[None, ...] - self.nodes_xy[:, 1].reshape((-1,) + (1,) * y.ndim)
-        d2 = dx * dx + dy * dy
-        hit = d2 == 0.0
-        weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, d2))
-        shape = (-1,) + (1,) * x.ndim
+        shape = np.broadcast(x, y).shape
+        d2 = np.empty(shape)
+        dy = np.empty(shape)
+        hit = np.empty(shape, dtype=bool)
+        hit_any = np.zeros(shape, dtype=bool)
+        exact = np.zeros(shape)
+        # both sums start from +0.0 and add node after node, as a numpy sum
+        # over a leading node axis does (so all -0.0 terms sum to +0.0)
+        num = np.zeros(shape)
+        den = np.zeros(shape)
+        nodes = zip(self.nodes_xy.tolist(), self.values_deg.tolist())
         # exact hits zero every weight at a single-node field; the blended
         # value is discarded there, so silence the 0/0
         with np.errstate(invalid="ignore", divide="ignore"):
-            blended = (weights * self.values_deg.reshape(shape)).sum(axis=0)
-            blended /= weights.sum(axis=0)
-        exact = self.values_deg[hit.argmax(axis=0)]
-        out = np.where(hit.any(axis=0), exact, blended)
+            for (node_x, node_y), value in nodes:
+                np.subtract(x, node_x, out=d2)
+                np.multiply(d2, d2, out=d2)
+                np.subtract(y, node_y, out=dy)
+                np.multiply(dy, dy, out=dy)
+                np.add(d2, dy, out=d2)
+                np.equal(d2, 0.0, out=hit)
+                if hit.any():
+                    # the first node hit keeps the pixel; a hit weighs 0
+                    exact[hit & ~hit_any] = value
+                    hit_any |= hit
+                    d2[hit] = np.inf
+                weight = np.divide(1.0, d2, out=d2)
+                den += weight
+                weight *= value
+                num += weight
+            num /= den
+        out = np.where(hit_any, exact, num)
         return np.clip(out, self.values_deg.min(), self.values_deg.max())
 
 
@@ -390,8 +411,8 @@ def grid_to_csv(grid: RasterGrid) -> str:
         f"{grid.x_min!r},{grid.x_max!r},{grid.y_min!r},{grid.y_max!r},"
         f"{grid.width},{grid.height}"
     ]
-    for row in grid.values:
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in grid.values.tolist():
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,16 @@ CLASSICAL_CSV = (
 )
 
 
+def _edited(edit):
+    """A report corruption that edits the solved report in place."""
+
+    def corrupt(report):
+        edit(report)
+        return report
+
+    return corrupt
+
+
 @pytest.fixture()
 def dataset_path(tmp_path):
     path = tmp_path / "fruits_vegetables.csv"
@@ -193,12 +203,21 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda report: report["residuals"].pop("norm_a_error"),
-            lambda report: report["vector_a"].pop(),
-            lambda report: (report["vector_a"].pop(), report["vector_b"].pop()),
-            lambda report: report["exemplars"].pop(),
+            _edited(lambda report: report["residuals"].pop("norm_a_error")),
+            _edited(lambda report: report["vector_a"].pop()),
+            _edited(lambda report: (report["vector_a"].pop(), report["vector_b"].pop())),
+            _edited(lambda report: report["exemplars"].pop()),
+            lambda report: [],
+            lambda report: "text",
         ],
-        ids=["missing-residual", "short-vector-a", "short-vectors", "missing-row"],
+        ids=[
+            "missing-residual",
+            "short-vector-a",
+            "short-vectors",
+            "missing-row",
+            "top-level-list",
+            "top-level-string",
+        ],
     )
     def test_verify_malformed_report_exits_1(
         self, dataset_path, tmp_path, capsys, corrupt
@@ -206,8 +225,7 @@ class TestVerifyCommand:
         report_path = tmp_path / "report.json"
         main(["solve", str(dataset_path), "-o", str(report_path)])
         report = json.loads(report_path.read_text())
-        corrupt(report)
-        report_path.write_text(json.dumps(report))
+        report_path.write_text(json.dumps(corrupt(report)))
         assert main(["verify", str(report_path)]) == 1
         assert "malformed report" in capsys.readouterr().err
 

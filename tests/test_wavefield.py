@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from concept_interference import (
     ConstantPhaseField,
     FitError,
     GaussianField,
+    PhaseField,
     ValidationError,
     circle_intersections,
     cos_deg,
@@ -226,6 +228,55 @@ def test_placements_satisfy_level_curves_or_record_residuals(table):
             )
 
 
+def _reference_phase(field, x, y):
+    """The phase field as one broadcast expression over every node at once.
+
+    This is the n x H x W formula the streaming ``PhaseField.evaluate``
+    replaced, kept here as its bit-exact reference.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x[None, ...] - field.nodes_xy[:, 0].reshape((-1,) + (1,) * x.ndim)
+    dy = y[None, ...] - field.nodes_xy[:, 1].reshape((-1,) + (1,) * y.ndim)
+    d2 = dx * dx + dy * dy
+    hit = d2 == 0.0
+    weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, d2))
+    shape = (-1,) + (1,) * x.ndim
+    with np.errstate(invalid="ignore", divide="ignore"):
+        blended = (weights * field.values_deg.reshape(shape)).sum(axis=0)
+        blended /= weights.sum(axis=0)
+    exact = field.values_deg[hit.argmax(axis=0)]
+    out = np.where(hit.any(axis=0), exact, blended)
+    return np.clip(out, field.values_deg.min(), field.values_deg.max())
+
+
+def _reference_pixelwise(field, x, y):
+    """``_reference_phase`` as it acts on one pixel of a grid.
+
+    On a single point the broadcast sums run along the contiguous node axis,
+    where numpy adds pairwise rather than in node order; from about 8 nodes
+    on that can differ in the last bits from the same point inside a grid,
+    whose sums run node after node.  The grid value is the one the rasters
+    carry, so a single point is evaluated as the first of two equal points.
+    """
+    shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+    if math.prod(shape) != 1:
+        return _reference_phase(field, x, y)
+    twice = np.ones(2)
+    pair = _reference_phase(field, twice * np.ravel(x), twice * np.ravel(y))
+    return pair[:1].reshape(shape)
+
+
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+    st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False),
+)
+_PHASES = st.one_of(
+    st.sampled_from([0.0, -0.0, 90.0, -180.0, 180.0]),
+    st.floats(min_value=-180.0, max_value=180.0, allow_subnormal=False),
+)
+
+
 class TestPhaseField:
     def test_exact_at_nodes(self, reference_placements, reference_table):
         solution = solve(reference_table)
@@ -266,6 +317,47 @@ class TestPhaseField:
         sampled = field.evaluate(*np.meshgrid(xs, xs))
         assert sampled.min() >= values.min()
         assert sampled.max() <= values.max()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_streaming_pass_matches_broadcast_formula_bitwise(self, data):
+        nodes = data.draw(
+            st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=24, unique=True)
+        )
+        values = data.draw(st.lists(_PHASES, min_size=len(nodes), max_size=len(nodes)))
+        others = data.draw(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=5))
+        field = PhaseField(np.array(nodes), np.array(values))
+        # the nodes come first, so every input below holds exact hits
+        xs, ys = np.array(nodes + others).T
+        inputs = [
+            (xs[0], ys[0]),
+            (xs[-1], ys[-1]),
+            (xs, ys),
+            np.meshgrid(xs, ys),
+            (xs[None, :], ys[:, None]),
+        ]
+        # a subnormal squared distance overflows its weight in both forms
+        with np.errstate(over="ignore"):
+            for x, y in inputs:
+                got = np.asarray(field.evaluate(x, y))
+                want = np.asarray(_reference_pixelwise(field, x, y))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_memory_does_not_grow_with_nodes(self):
+        xs = np.linspace(-1.0, 1.0, 64)
+        grid_x, grid_y = np.meshgrid(xs, xs)
+        rng = np.random.default_rng(3)
+        sixteen_planes = 16 * grid_x.nbytes
+        for n in (2000, 20):
+            field = PhaseField(rng.uniform(-1, 1, size=(n, 2)), rng.uniform(-90, 90, size=n))
+            tracemalloc.start()
+            try:
+                field.evaluate(grid_x, grid_y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < sixteen_planes, (n, peak)
 
     def test_duplicate_nodes_rejected(self):
         from concept_interference import PhaseField
