@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +203,69 @@ def build_infeasible_report(
     return _report(raw, exemplars, model, feasibility)
 
 
+# json's spelling of the non-finite floats that float.__repr__ writes
+_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column_text(column: tuple):
+    """The JSON text of each value in a column of scalars, or None when the
+    column holds a container (which ``indent`` would spread over lines)."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        if math.isfinite(sum(column)):
+            return map(float.__repr__, column)
+        reprs = list(map(float.__repr__, column))
+        return map(_NONFINITE_TEXT.get, reprs, reprs)
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, column)
+    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        return None
+    return map(json.dumps, column)
+
+
+def _rows_text(rows) -> str | None:
+    """``json.dumps(rows, indent=2)`` one level deep, for a non-empty list of
+    flat dicts sharing one key order, written a column at a time; None for
+    any other value."""
+    if type(rows) is not list or not rows or type(rows[0]) is not dict:
+        return None
+    keys = tuple(rows[0])
+    if not keys or any(type(key) is not str for key in keys):
+        return None
+    if any(type(row) is not dict or tuple(row) != keys for row in rows):
+        return None
+    texts = [_column_text(column) for column in zip(*map(dict.values, rows))]
+    if any(text is None for text in texts):
+        return None
+    fields = ",\n".join(
+        "      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+        for key in keys
+    )
+    template = "    {\n" + fields + "\n    }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*texts))) + "\n  ]"
+
+
+def _encode_report(report: dict) -> str:
+    """``json.dumps(report, indent=2) + "\\n"``, byte for byte.
+
+    The indented standard-library encoder runs in pure Python; the per-
+    exemplar rows and the vector pairs are written column-wise instead, and
+    every other top-level value goes through ``json.dumps`` re-indented.
+    The report is a non-empty dict with text keys, as the builders return.
+    """
+    members = []
+    for key, value in report.items():
+        text = _rows_text(value)
+        if text is None:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        members.append(f"  {encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
 def _write_json(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = _encode_report(report)
     if output is None:
         sys.stdout.write(text)
     else:

@@ -238,21 +238,14 @@ def validate_and_normalize(
     A column whose compensated sum s satisfies |s - 1| <= tolerance is
     divided by s; a column already summing to 1 within ~1e-14 is left
     untouched, so the operation is exactly idempotent.  Rejects tables with
-    fewer than 2 exemplars, any zero in the two marginal columns (the phase
-    of such an exemplar would be undefined), and column sums outside
-    tolerance.
+    fewer than 2 exemplars, column sums outside tolerance, and any exemplar
+    whose marginal product mu_a * mu_b is 0 after rescaling (a zero marginal
+    or a product that underflows): its phase would be undefined.
     """
     if not (isinstance(tolerance, (int, float)) and tolerance > 0):
         raise ValidationError(f"tolerance must be positive, got {tolerance!r}")
     if table.n < 2:
         raise ValidationError(f"need at least 2 exemplars, got {table.n}")
-    zero = np.flatnonzero((table.mu_a == 0.0) | (table.mu_b == 0.0))
-    if zero.size:
-        record = table.records[zero[0]]
-        raise DegeneracyError(
-            f"exemplar {record.index} ({record.name}) has a zero marginal "
-            "probability; its interference phase would be undefined"
-        )
 
     scales: dict[str, float | None] = {}
     for field, total in table.column_sums().items():
@@ -263,18 +256,27 @@ def validate_and_normalize(
             )
         scales[field] = None if abs(total - 1.0) <= _EXACT_SUM_SLACK else total
 
-    if all(scale is None for scale in scales.values()):
-        return table
+    if any(scale is not None for scale in scales.values()):
 
-    def rescaled(record: ExemplarRecord) -> ExemplarRecord:
-        updates = {
-            field: getattr(record, field) / scale
-            for field, scale in scales.items()
-            if scale is not None
-        }
-        return replace(record, **updates)
+        def rescaled(record: ExemplarRecord) -> ExemplarRecord:
+            updates = {
+                field: getattr(record, field) / scale
+                for field, scale in scales.items()
+                if scale is not None
+            }
+            return replace(record, **updates)
 
-    return replace(table, records=tuple(rescaled(r) for r in table.records))
+        table = replace(table, records=tuple(rescaled(r) for r in table.records))
+
+    zero = np.flatnonzero(table.mu_a * table.mu_b == 0.0)
+    if zero.size:
+        k = int(zero[0])
+        raise DegeneracyError(
+            f"exemplar {k + 1} ({table.names[k]}) has a zero marginal "
+            "probability or marginal product mu_a * mu_b; its interference "
+            "phase would be undefined"
+        )
+    return table
 
 
 def fruits_vegetables_csv() -> str:

@@ -263,7 +263,7 @@ def compute_phases(
         k = int(outside[0])
         raise InfeasibilityError(
             f"exemplar {k + 1} ({table.names[k]}): phase cosine "
-            f"{arguments[k]!r} lies outside [-1, 1]"
+            f"{float(arguments[k])!r} lies outside [-1, 1]"
         )
     # fmax/fmin rather than clip: a 0/0 argument (a marginal product that
     # underflows to 0 with a zero deviation) clamps to -1 instead of NaN

@@ -1,11 +1,27 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from concept_interference import fruits_vegetables_csv
-from concept_interference.cli import main
+from concept_interference import (
+    InfeasibilityError,
+    fruits_vegetables_csv,
+    parse_table,
+    solve,
+    validate_and_normalize,
+)
+from concept_interference.cli import (
+    _encode_report,
+    build_infeasible_report,
+    build_solve_report,
+    main,
+)
+
+from conftest import feasible_tables, solve_feasible
 
 INFEASIBLE_CSV = (
     "exemplar,mu_a,mu_b,mu_ab\n"
@@ -29,6 +45,86 @@ def _edited(edit):
         return report
 
     return corrupt
+
+
+_SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308)
+# any float, the non-finite ones and -0.0 and subnormals for sure, and the
+# scalars json writes through its general path
+_VALUES = (
+    st.floats()
+    | st.sampled_from(_SPECIAL_FLOATS)
+    | st.integers()
+    | st.none()
+    | st.booleans()
+)
+_ROW_FLOAT_KEYS = (
+    "mu_a", "mu_b", "mu_ab", "average", "deviation",
+    "lambda", "phi_deg", "beta_deg", "c", "radicand", "re", "im",
+)
+
+
+def _infeasible_report():
+    raw = parse_table(INFEASIBLE_CSV)
+    table = validate_and_normalize(raw)
+    with pytest.raises(InfeasibilityError) as info:
+        solve(table)
+    return build_infeasible_report(raw, table, info.value)
+
+
+@st.composite
+def reports(draw):
+    """Solve and infeasible reports, with names from st.text() and some row
+    values replaced by drawn floats and other scalars."""
+    if draw(st.booleans()):
+        report = _infeasible_report()
+    else:
+        table = draw(feasible_tables())
+        report = build_solve_report(table, table, solve_feasible(table))
+    rows = [
+        *report["exemplars"],
+        *report["feasibility"]["infeasible_exemplars"],
+        *(report["vector_a"] or ()),
+        *(report["vector_b"] or ()),
+    ]
+    for row in rows:
+        if "name" in row:
+            row["name"] = draw(st.text())
+        keys = [key for key in _ROW_FLOAT_KEYS if key in row]
+        row.update(draw(st.dictionaries(st.sampled_from(keys), _VALUES)))
+    if draw(st.booleans()):
+        report["c_m"] = draw(_VALUES)
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(reports())
+def test_encoder_writes_json_dumps_bytes(report):
+    assert _encode_report(report) == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        [{}],
+        [{"a": [1, 2]}],
+        [{"a": {"b": 1}}],
+        [{"a": (1.5,)}],
+        [{"a": 1}, {"b": 2}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": 1}, 3],
+        [{1: "integer key"}],
+        [{"100%": 1.0, "%s": "x"}],
+        [{"a": 1e308}, {"a": 1e308}],
+        [{"a": True}, {"a": 1}],
+        {"nested": [{"a": 1}]},
+        "text",
+    ],
+    ids=repr,
+)
+def test_encoder_falls_back_on_other_values(value):
+    report = {"value": value, "after": None}
+    assert _encode_report(report) == json.dumps(report, indent=2) + "\n"
 
 
 @pytest.fixture()
@@ -136,6 +232,27 @@ class TestSolveCommand:
         status = main(["solve", str(path), "-o", str(tmp_path / "r.json")])
         assert status == 2
         assert "classically additive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu_ab", ["1e-200", "2e-200"])
+    def test_underflowing_marginal_product_exits_1(self, tmp_path, capsys, mu_ab):
+        # mu_a * mu_b = 1e-400 underflows to 0, so x has no defined phase
+        # whether or not its deviation is zero
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "exemplar,mu_a,mu_b,mu_ab\n"
+            f"a,0.6,0.4,0.45\nb,0.4,0.6,0.55\nx,1e-200,1e-200,{mu_ab}\n"
+        )
+        status = main(["solve", str(path), "-o", str(tmp_path / "r.json")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "exemplar 3 (x)" in err
+        assert "marginal product" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_report_is_canonical_indented_json(self, dataset_path, capsys):
+        assert main(["solve", str(dataset_path)]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_byte_identical_reruns(self, dataset_path, tmp_path):
         first = tmp_path / "first.json"

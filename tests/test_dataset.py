@@ -119,6 +119,15 @@ class TestValidateNormalize:
         table = make_table([0.5, 0.5], [0.5, 0.5], [0.0, 1.0])
         validate_and_normalize(table)
 
+    def test_marginal_product_checked_after_rescaling(self):
+        # 5e-324 / 2.5 rounds to 0: the rescaled column the solver would see
+        # holds a zero marginal although the raw one does not
+        table = make_table(
+            [5e-324, 1.0, 1.0, 0.5], [1.0, 1e-300, 1e-300, 1e-300], [0.25] * 4
+        )
+        with pytest.raises(DegeneracyError, match=r"exemplar 1 \(E1\)"):
+            validate_and_normalize(table, tolerance=2.0)
+
     def test_bad_tolerance(self):
         table = make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValidationError, match="tolerance"):

@@ -166,6 +166,17 @@ class TestPhases:
         assert phi[1] == -90.0
         assert beta[0] == 90.0
 
+    def test_out_of_range_cosine_names_exemplar_as_plain_float(
+        self, reference_table, reference_solution
+    ):
+        # a c_m far below its solved value pushes the cosine at m past 1
+        m = reference_solution.m
+        with pytest.raises(InfeasibilityError) as info:
+            compute_phases(reference_table, reference_solution.lambdas, m, 1e-300)
+        message = str(info.value)
+        assert f"exemplar {m} ({reference_table.names[m - 1]})" in message
+        assert "np.float64" not in message
+
     def test_sign_follows_lambda(self, reference_solution):
         nonzero = reference_solution.lambdas != 0.0
         assert np.all(
