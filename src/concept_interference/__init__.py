@@ -12,9 +12,7 @@ from .dataset import (
     ExemplarRecord,
     TypicalityTable,
     fruits_vegetables,
-    fruits_vegetables_csv,
     parse_table,
-    render_csv,
     validate_and_normalize,
 )
 from .errors import (
@@ -23,22 +21,14 @@ from .errors import (
     DimensionError,
     FitError,
     InfeasibilityError,
-    OrthogonalityError,
     ParseError,
     ValidationError,
-)
-from .hilbert import (
-    ProjectorLayout,
-    as_state_vector,
-    inner_product,
-    norm,
-    project_probability,
-    superpose_normalized,
 )
 from .solver import (
     Classification,
     FeasibilityReport,
     InterferenceSolution,
+    ProjectorLayout,
     SignStep,
     VerificationReport,
     assign_signs,
@@ -61,8 +51,6 @@ from .wavefield import (
     Placement,
     PlacementMap,
     RasterGrid,
-    circle_intersections,
-    cos_deg,
     default_window,
     fit_gaussian_fields,
     grid_to_csv,
@@ -89,7 +77,6 @@ __all__ = [
     "GaussianField",
     "InfeasibilityError",
     "InterferenceSolution",
-    "OrthogonalityError",
     "ParseError",
     "PhaseField",
     "Placement",
@@ -101,35 +88,26 @@ __all__ = [
     "TypicalityTable",
     "ValidationError",
     "VerificationReport",
-    "as_state_vector",
     "assign_signs",
     "build_state_vectors",
-    "circle_intersections",
     "classify_exemplars",
     "compute_cm",
     "compute_deviations",
     "compute_lambda_magnitudes",
     "compute_phases",
-    "cos_deg",
     "default_window",
     "fit_gaussian_fields",
     "fruits_vegetables",
-    "fruits_vegetables_csv",
     "grid_to_csv",
     "grid_to_pgm",
-    "inner_product",
     "interpolate_phase",
     "measure_residuals",
-    "norm",
     "parse_table",
     "place_exemplars",
     "placements_to_csv",
-    "project_probability",
-    "render_csv",
     "render_grids",
     "sign_assignment_trace",
     "solve",
-    "superpose_normalized",
     "validate_and_normalize",
     "verify_solution",
 ]

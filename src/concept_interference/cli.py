@@ -30,9 +30,9 @@ from .errors import (
     DegeneracyError,
     InfeasibilityError,
 )
-from .hilbert import ProjectorLayout
 from .solver import (
     InterferenceSolution,
+    ProjectorLayout,
     classify_exemplars,
     compute_deviations,
     measure_residuals,
@@ -181,18 +181,12 @@ def build_infeasible_report(
 ) -> dict:
     """Report for data the model cannot represent; no partial model inside."""
     report = getattr(error, "report", None)
-    infeasible = []
-    cm_violation = None
-    if report is not None:
-        cm_violation = report.cm_violation
-        for index, radicand in report.infeasible_exemplars:
-            infeasible.append(
-                {
-                    "index": index,
-                    "name": table.names[index - 1],
-                    "radicand": radicand,
-                }
-            )
+    rows = report.infeasible_exemplars if report is not None else ()
+    infeasible = [
+        {"index": index, "name": table.names[index - 1], "radicand": radicand}
+        for index, radicand in rows
+    ]
+    cm_violation = report.cm_violation if report is not None else None
     exemplars = _exemplar_rows(table, compute_deviations(table), {})
     model = dict.fromkeys(("m", "c_m", "vector_a", "vector_b", "residuals"))
     feasibility = {
@@ -293,7 +287,8 @@ def _over_thresholds(residuals, thresholds: Thresholds) -> dict[str, float]:
     return {
         key: getattr(thresholds, threshold_key)
         for key, threshold_key in _RESIDUAL_THRESHOLD_KEYS
-        if getattr(residuals, key) > getattr(thresholds, threshold_key)
+        # written so that a NaN residual counts as over its threshold
+        if not getattr(residuals, key) <= getattr(thresholds, threshold_key)
     }
 
 
@@ -383,15 +378,9 @@ def _run_classify(args) -> int:
 
 def _table_from_report(data: dict) -> TypicalityTable:
     dataset = data["dataset"]
+    fields = ("index", "name", "mu_a", "mu_b", "mu_ab")
     records = tuple(
-        ExemplarRecord(
-            index=row["index"],
-            name=row["name"],
-            mu_a=row["mu_a"],
-            mu_b=row["mu_b"],
-            mu_ab=row["mu_ab"],
-        )
-        for row in data["exemplars"]
+        ExemplarRecord(*(row[field] for field in fields)) for row in data["exemplars"]
     )
     return TypicalityTable(
         records=records,
@@ -414,11 +403,9 @@ def _run_verify(args) -> int:
         if data.get("vector_a") is None or data.get("vector_b") is None:
             return _fail("report carries no model vectors (infeasible run?)")
         table = _table_from_report(data)
-        vector_a = np.array(
-            [complex(p["re"], p["im"]) for p in data["vector_a"]]
-        )
-        vector_b = np.array(
-            [complex(p["re"], p["im"]) for p in data["vector_b"]]
+        vector_a, vector_b = (
+            np.array([complex(p["re"], p["im"]) for p in data[key]])
+            for key in ("vector_a", "vector_b")
         )
         stored = {
             key: float(data["residuals"][key])
@@ -434,7 +421,7 @@ def _run_verify(args) -> int:
     for key, _ in _RESIDUAL_THRESHOLD_KEYS:
         value = getattr(recomputed, key)
         print(f"{key} = {value:.6e}")
-        if abs(value - stored[key]) > 1e-12:
+        if not abs(value - stored[key]) <= 1e-12:  # NaN differs too
             failures.append(f"{key} differs from the stored value {stored[key]!r}")
         if key in over:
             failures.append(f"{key} = {value:.3e} over threshold {over[key]:.0e}")

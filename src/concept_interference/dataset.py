@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -187,12 +186,8 @@ def parse_table(source: str | TextIO) -> TypicalityTable:
                 raise ParseError(
                     f"non-numeric {field} value {cell.strip()!r}", line_number
                 ) from exc
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise ParseError(
-                    f"{field}={cell.strip()} is not a probability in [0, 1]",
-                    line_number,
-                )
             values.append(value)
+        # the record range-checks each value and names the exemplar
         try:
             records.append(ExemplarRecord(len(records) + 1, name, *values))
         except ValidationError as exc:
@@ -209,25 +204,6 @@ def parse_table(source: str | TextIO) -> TypicalityTable:
         combination_label=labels.get("combination_label", "A or B"),
         notes=tuple(notes),
     )
-
-
-def render_csv(table: TypicalityTable) -> str:
-    """Emit the CSV form of a table at full float precision.
-
-    ``parse_table(render_csv(t))`` returns a table equal to ``t``.
-    """
-    buffer = io.StringIO()
-    for key in _LABEL_KEYS:
-        buffer.write(f"# {key}: {getattr(table, key)}\n")
-    for note in table.notes:
-        buffer.write(f"# note: {note}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for record in table.records:
-        writer.writerow(
-            [record.name, repr(record.mu_a), repr(record.mu_b), repr(record.mu_ab)]
-        )
-    return buffer.getvalue()
 
 
 def validate_and_normalize(

@@ -29,14 +29,6 @@ class DimensionError(ConceptInterferenceError, ValueError):
     """Vector lengths or array shapes do not match."""
 
 
-class OrthogonalityError(ConceptInterferenceError, ValueError):
-    """Superposition inputs are not orthogonal. Carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class InfeasibilityError(ConceptInterferenceError):
     """The interference model is not constructible for this data.
 

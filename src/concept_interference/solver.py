@@ -9,8 +9,8 @@ reproduces the mu_ab column exactly.  The construction runs in stages:
                     combined probability that the classical average misses;
 2. magnitudes       |lambda_k| = sqrt(mu_a_k * mu_b_k - d_k^2), the size of
                     exemplar k's imaginary contribution to <A|B>.  A
-                    negative radicand means the data cannot be modeled and
-                    is reported, not raised per-row;
+                    radicand below the rounding slack means the data cannot
+                    be modeled and is reported, not raised per-row;
 3. sign assignment  a greedy pass over the magnitudes in decreasing order
                     (ties by index): the largest gets "+" and defines the
                     distinguished index m; each later entry gets "-"
@@ -26,7 +26,9 @@ reproduces the mu_ab column exactly.  The construction runs in stages:
 6. vectors          |A> real with coordinates sqrt(mu_a_k) and 0 in the
                     extra plane coordinate; |B> with coordinates
                     e^(i beta_k) sqrt(mu_b_k), scaled by c_m at m, and
-                    sqrt(mu_b_m (1 - c_m^2)) in the plane coordinate.
+                    sqrt(mu_b_m (1 - c_m^2)) in the plane coordinate;
+7. residuals        |<A|B>|, both norm errors, and the worst gap between
+                    mu_ab and the superposed state (:class:`ProjectorLayout`).
 
 Angles cross this module's boundary in degrees; trigonometry is done in
 radians internally.  The whole pipeline is a pure function of the table:
@@ -48,16 +50,29 @@ from .errors import (
     InfeasibilityError,
     ValidationError,
 )
-from .hilbert import ProjectorLayout, as_state_vector, inner_product, norm
 
 # Deviations within this of zero count as classical (no interference).
 CLASSICAL_DEVIATION_TOLERANCE = 1e-12
+
+# A magnitude radicand within k * eps * s of 0, either side, reads as 0: the
+# row sits at a phase of exactly 0 or 180 degrees.  The deviation carries the
+# rounding of the classical average, so s = sqrt(mu_a * mu_b) * (mu_a + mu_b)
+# / 2, which is mu_a * mu_b when the marginals are equal; rows built at
+# d = +-sqrt(mu_a * mu_b) land within 3 eps * s of 0.  k = 8.
+_RADICAND_SLACK = 8 * float(np.finfo(np.float64).eps)
 
 # Rounding slack: c_m above 1 by more than this is an error, within it a clamp.
 _CM_OVERSHOOT_SLACK = 1e-9
 
 # Rounding slack for arccos arguments just outside [-1, 1].
 _ARCCOS_CLAMP_SLACK = 1e-12
+
+# Below this unscaled norm the squared norm (< 1e-292) is near enough to the
+# subnormal range that rounding of subnormal squares can show in the result,
+# so norm() rescales; above it that rounding (<= 2.5e-324 per square) stays
+# below 1e-31 of the sum for any realistic length.
+_NORM_RESCALE_BELOW = 1e-146
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 class Classification(enum.Enum):
@@ -78,8 +93,8 @@ class FeasibilityReport:
     """Why (or that) the model is constructible for a table.
 
     ``infeasible_exemplars`` lists (index, radicand) pairs where the
-    magnitude radicand mu_a*mu_b - deviation^2 went negative;
-    ``cm_violation`` carries a closing coefficient that exceeded 1.
+    magnitude radicand mu_a*mu_b - deviation^2 fell below the rounding
+    slack; ``cm_violation`` carries a closing coefficient that exceeded 1.
     """
 
     infeasible_exemplars: tuple[tuple[int, float], ...] = ()
@@ -88,6 +103,29 @@ class FeasibilityReport:
     @property
     def constructible(self) -> bool:
         return not self.infeasible_exemplars and self.cm_violation is None
+
+
+@dataclass(frozen=True)
+class ProjectorLayout:
+    """Structural layout of the measurement projectors on C^(n+1).
+
+    Projector k is the ray along canonical coordinate k for k != m and the
+    plane spanned by coordinates {m, n+1} for k == m; together they resolve
+    the identity.
+    """
+
+    n: int
+    m: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.m <= self.n:
+            raise ValidationError(f"m must be in 1..{self.n}, got {self.m}")
+
+    @property
+    def dimension(self) -> int:
+        return self.n + 1
 
 
 @dataclass(frozen=True)
@@ -140,14 +178,19 @@ def compute_lambda_magnitudes(
 ) -> tuple[np.ndarray, FeasibilityReport]:
     """Unsigned interference magnitudes plus a feasibility diagnosis.
 
-    Infeasible rows (negative radicand) get NaN in the magnitude array and
-    an (index, radicand) entry in the report; nothing is raised.
+    A radicand within the rounding slack of 0 gives magnitude 0.  Infeasible
+    rows (a radicand below that) get NaN in the magnitude array and an
+    (index, radicand) entry in the report; nothing is raised.
     """
     deviations = compute_deviations(table)
-    radicands = table.mu_a * table.mu_b - deviations * deviations
-    magnitudes = np.where(radicands >= 0.0, np.sqrt(np.abs(radicands)), np.nan)
+    products = table.mu_a * table.mu_b
+    radicands = products - deviations * deviations
+    slack = _RADICAND_SLACK * np.sqrt(products) * (0.5 * (table.mu_a + table.mu_b))
+    feasible = radicands >= -slack
+    magnitudes = np.where(radicands > slack, np.sqrt(np.fmax(radicands, 0.0)), 0.0)
+    magnitudes[~feasible] = np.nan
     infeasible = tuple(
-        (int(k) + 1, float(radicands[k])) for k in np.flatnonzero(radicands < 0.0)
+        (int(k) + 1, float(radicands[k])) for k in np.flatnonzero(~feasible)
     )
     return magnitudes, FeasibilityReport(infeasible_exemplars=infeasible)
 
@@ -202,6 +245,11 @@ def assign_signs(magnitudes) -> tuple[np.ndarray, int]:
     return signs, order[0] + 1
 
 
+def _off_m_sum(lambdas: np.ndarray, m: int) -> float:
+    """The imaginary sum the closing coefficient on m cancels."""
+    return math.fsum(np.delete(lambdas, m - 1).tolist())
+
+
 def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
     """Closing coefficient on exemplar m that zeroes the imaginary sum.
 
@@ -216,7 +264,7 @@ def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
         raise ValidationError("lambdas must be finite, one per exemplar")
     if not 1 <= m <= n:
         raise ValidationError(f"m must be in 1..{n}, got {m}")
-    off_sum = math.fsum(np.delete(lambdas, m - 1).tolist())
+    off_sum = _off_m_sum(lambdas, m)
     deviation_m = float(compute_deviations(table)[m - 1])
     product_m = float(table.mu_a[m - 1] * table.mu_b[m - 1])
     if product_m <= 0.0:
@@ -250,7 +298,10 @@ def compute_phases(
     phi_k = sign(lambda_k) * arccos(d_k / (c_k sqrt(mu_a_k mu_b_k))) with
     c_k = 1 for k != m and c_m at m; beta equals phi except beta_m =
     |phi_m|.  Arguments within 1e-12 of the [-1, 1] boundary are clamped;
-    farther outside is an infeasibility error.
+    farther outside is an infeasibility error.  A zero lambda puts its row
+    on the boundary, and so does a zero sum of the off-m lambdas for m (c_m
+    then has no imaginary part to cancel): such an argument reads as exactly
+    +1 or -1, a phase of 0 or 180 degrees.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if not 0.0 < c_m <= 1.0:
@@ -268,6 +319,9 @@ def compute_phases(
     # fmax/fmin rather than clip: a 0/0 argument (a marginal product that
     # underflows to 0 with a zero deviation) clamps to -1 instead of NaN
     clamped = np.fmin(1.0, np.fmax(-1.0, arguments))
+    boundary = lambdas == 0.0
+    boundary[m - 1] = _off_m_sum(lambdas, m) == 0.0
+    clamped = np.where(boundary, np.copysign(1.0, arguments), clamped)
     # scalar libm acos: np.arccos differs from it in the last ulp on some inputs
     angle = np.array([math.degrees(math.acos(x)) for x in clamped.tolist()])
     phi = np.where(lambdas >= 0.0, angle, -angle)
@@ -297,6 +351,35 @@ def build_state_vectors(
     return vector_a, vector_b
 
 
+def norm(u) -> float:
+    """Euclidean norm sqrt(sum |u_k|^2), accurate over the whole float range.
+
+    ``np.linalg.norm`` sums unscaled squares, which turn subnormal (and lose
+    digits) when the norm is below about 1e-154 and overflow when it is above
+    about 1e154.  Outside ``[_NORM_RESCALE_BELOW, inf)`` the vector is
+    therefore rescaled by its largest real or imaginary part first.  For
+    finite entries the result is within a few ulps of the true norm whenever
+    that norm is a normal float (about 2.2e-308 to 1.8e308) and ``inf``
+    above that.  A true norm below the smallest normal float is returned as
+    0.0: it would carry only a few digits, and dividing by it overflows, so
+    ``u / norm(u)`` is finite whenever ``norm(u) > 0``.  A vector holding
+    ``inf`` has norm ``inf``; one holding ``nan`` has norm ``nan``.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    re, im = u.real, u.imag
+    # the sum np.linalg.norm forms, bit for bit, but neither vdot nor the
+    # float add warns on overflow for the huge vectors rescaled below
+    r = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
+    if u.size == 0 or not (r < _NORM_RESCALE_BELOW or r == math.inf):
+        return r  # normal range, empty vector, or nan
+    parts = np.abs(np.concatenate((re, im)))
+    scale = float(parts.max())
+    if scale == 0.0 or scale == math.inf:
+        return scale
+    r = scale * float(np.linalg.norm(parts / scale))
+    return r if r >= _SMALLEST_NORMAL else 0.0
+
+
 def measure_residuals(
     vector_a: np.ndarray,
     vector_b: np.ndarray,
@@ -307,15 +390,17 @@ def measure_residuals(
 
     Computes the orthogonality modulus |<A|B>|, both unit-norm errors, and
     the worst gap between mu_ab and the superposed-state projection; used
-    both when a model is built and to re-check serialized models.
+    both when a model is built and to re-check serialized models.  Raises
+    DimensionError unless both vectors hold n + 1 coordinates.
     """
     n = layout.n
-    vector_a, vector_b = as_state_vector(vector_a), as_state_vector(vector_b)
+    vector_a = np.asarray(vector_a, dtype=np.complex128)
+    vector_b = np.asarray(vector_b, dtype=np.complex128)
     for vector in (vector_a, vector_b):
-        if vector.shape[0] != layout.dimension:
+        if vector.shape != (layout.dimension,):
             raise DimensionError(
-                f"state vector has {vector.shape[0]} coordinates, layout needs "
-                f"{layout.dimension}"
+                f"state vector has shape {vector.shape}, layout needs "
+                f"{layout.dimension} coordinates"
             )
     superposed = vector_a + vector_b
     re, im = superposed.real, superposed.imag
@@ -323,7 +408,7 @@ def measure_residuals(
     probabilities[layout.m - 1] += re[n] * re[n] + im[n] * im[n]
     max_reconstruction = np.max(np.abs(0.5 * probabilities - table.mu_ab))
     return VerificationReport(
-        orthogonality_modulus=abs(inner_product(vector_a, vector_b)),
+        orthogonality_modulus=abs(complex(np.vdot(vector_a, vector_b))),
         norm_a_error=abs(norm(vector_a) - 1.0),
         norm_b_error=abs(norm(vector_b) - 1.0),
         max_reconstruction_error=float(max_reconstruction),
@@ -331,9 +416,7 @@ def measure_residuals(
 
 
 def verify_solution(
-    solution: InterferenceSolution,
-    table: TypicalityTable,
-    layout: ProjectorLayout | None = None,
+    solution: InterferenceSolution, table: TypicalityTable
 ) -> VerificationReport:
     """Recompute the model residuals from the vectors alone.
 
@@ -341,8 +424,7 @@ def verify_solution(
     sensitive to corruption (a 10-degree phase perturbation shows up as an
     orthogonality modulus above 1e-4).
     """
-    if layout is None:
-        layout = ProjectorLayout(table.n, solution.m)
+    layout = ProjectorLayout(table.n, solution.m)
     return measure_residuals(solution.vector_a, solution.vector_b, table, layout)
 
 

@@ -74,9 +74,6 @@ class PlacementMap:
     def locations(self) -> np.ndarray:
         return np.array([[p.x, p.y] for p in self.placements])
 
-    def residuals(self) -> np.ndarray:
-        return np.array([p.residual for p in self.placements])
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseField:
@@ -90,7 +87,6 @@ class PhaseField:
 
     nodes_xy: np.ndarray
     values_deg: np.ndarray
-    rule: str = "inverse_distance_squared"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes_xy, dtype=float)
@@ -147,7 +143,6 @@ class ConstantPhaseField:
     """Uniform phase everywhere (e.g. 90 degrees for the classical limit)."""
 
     value_deg: float
-    rule: str = "constant"
 
     def evaluate(self, x, y) -> np.ndarray:
         return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.value_deg)
@@ -193,18 +188,15 @@ def fit_gaussian_fields(
     table: TypicalityTable,
     center_a: tuple[float, float] = DEFAULT_CENTER_A,
     center_b: tuple[float, float] = DEFAULT_CENTER_B,
-    scale: float = 1.0,
 ) -> tuple[GaussianField, GaussianField]:
     """Fit one isotropic Gaussian per concept to the table's marginals.
 
-    Field A peaks at center_a with height scale*max(mu_a) so its top
-    exemplar sits exactly at the center, and its width is fixed by the
-    closed-form requirement that the field at center_b equals scale times
-    mu_a of B's top exemplar; field B symmetrically.  Requires distinct
-    centers and distinct top exemplars.
+    Field A peaks at center_a with height max(mu_a) so its top exemplar
+    sits exactly at the center, and its width is fixed by the closed-form
+    requirement that the field at center_b equals mu_a of B's top exemplar;
+    field B symmetrically.  Requires distinct centers and distinct top
+    exemplars.
     """
-    if not scale > 0.0:
-        raise FitError(f"scale must be positive, got {scale!r}")
     ax, ay = float(center_a[0]), float(center_a[1])
     bx, by = float(center_b[0]), float(center_b[1])
     distance = math.hypot(bx - ax, by - ay)
@@ -228,8 +220,8 @@ def fit_gaussian_fields(
             )
         return distance / math.sqrt(2.0 * math.log(ratio))
 
-    field_a = GaussianField((ax, ay), width(mu_a, top_b, "field A"), scale * float(mu_a.max()))
-    field_b = GaussianField((bx, by), width(mu_b, top_a, "field B"), scale * float(mu_b.max()))
+    field_a = GaussianField((ax, ay), width(mu_a, top_b, "field A"), float(mu_a.max()))
+    field_b = GaussianField((bx, by), width(mu_b, top_a, "field B"), float(mu_b.max()))
     return field_a, field_b
 
 
@@ -350,11 +342,11 @@ def default_window(
     placements: PlacementMap,
     field_a: GaussianField,
     field_b: GaussianField,
-    padding: float = DEFAULT_WINDOW_PADDING,
 ) -> tuple[float, float, float, float]:
-    """Bounding box of the placements padded by ``padding`` * max(sigma)."""
+    """Bounding box of the placements padded by DEFAULT_WINDOW_PADDING *
+    max(sigma)."""
     locations = placements.locations()
-    pad = padding * max(field_a.sigma, field_b.sigma)
+    pad = DEFAULT_WINDOW_PADDING * max(field_a.sigma, field_b.sigma)
     return (
         float(locations[:, 0].min() - pad),
         float(locations[:, 0].max() + pad),

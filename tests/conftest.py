@@ -28,6 +28,18 @@ def solve_feasible(table):
         assume(False)
 
 
+def reference_probability(layout, k, u):
+    """Outcome probability <u|P_k|u> for projector k of the layout, one
+    coordinate at a time: |u_k|^2, plus the plane coordinate |u_(n+1)|^2
+    when k == m.  The reference that measure_residuals is checked against."""
+    z = u[k - 1]
+    probability = z.real * z.real + z.imag * z.imag
+    if k == layout.m:
+        z = u[layout.n]
+        probability += z.real * z.real + z.imag * z.imag
+    return float(probability)
+
+
 def make_table(mu_a, mu_b, mu_ab, names=None, **kwargs) -> TypicalityTable:
     names = names or [f"E{i + 1}" for i in range(len(mu_a))]
     records = tuple(
@@ -62,7 +74,8 @@ def oracle_table():
 # ---------------------------------------------------------------------------
 # hypothesis strategy: random tables whose interference model is feasible.
 # mu_ab is built as average + bounded deviation, which keeps every radicand
-# strictly positive and every entry a probability.
+# strictly positive and every entry a probability, except that one row may
+# sit on the boundary, at a phase of exactly 0 or 180 degrees.
 # ---------------------------------------------------------------------------
 
 _WEIGHTS = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
@@ -86,6 +99,9 @@ def feasible_tables(draw, min_n=2, max_n=9):
         )
     )
     shrink = draw(st.floats(min_value=0.0, max_value=0.9))
+    # cos(phi) of the boundary row, if any, and its index
+    boundary = draw(st.sampled_from((None, 1.0, -1.0)))
+    boundary_row = draw(st.integers(min_value=0, max_value=n - 1))
 
     geometric = [math.sqrt(a * b) for a, b in zip(mu_a, mu_b)]
     raw_dev = [g * math.cos(t) for g, t in zip(geometric, angles)]
@@ -105,9 +121,28 @@ def feasible_tables(draw, min_n=2, max_n=9):
         headroom = 1.0 - 0.5 * (a + b)
         if c > 0.0:
             cap = min(cap, 0.9 * headroom / c)
-    scale = shrink * cap
-    mu_ab = [
-        0.5 * (a + b) + scale * c for a, b, c in zip(mu_a, mu_b, centered)
-    ]
+    deviations = [shrink * cap * c for c in centered]
+    if boundary is not None:
+        deviations = place_on_boundary(
+            mu_a, mu_b, geometric, deviations, boundary_row, boundary
+        ) or deviations
+    mu_ab = [0.5 * (a + b) + d for a, b, d in zip(mu_a, mu_b, deviations)]
     table = make_table(mu_a, mu_b, mu_ab)
     return validate_and_normalize(table)
+
+
+def place_on_boundary(mu_a, mu_b, geometric, deviations, row, cos_phi):
+    """Deviations with ``row`` at cos_phi * sqrt(mu_a * mu_b), the shift
+    spread over the other rows in proportion to their geometric means so the
+    third column keeps its sum; None when that leaves no room (another row
+    past 0.9 of its own bound, or an entry outside [0, 1])."""
+    shift = cos_phi * geometric[row] - deviations[row]
+    others = math.fsum(g for k, g in enumerate(geometric) if k != row)
+    moved = [d - shift * g / others for d, g in zip(deviations, geometric)]
+    moved[row] = cos_phi * geometric[row]
+    for k, (a, b, g, d) in enumerate(zip(mu_a, mu_b, geometric, moved)):
+        if k != row and abs(d) > 0.9 * g:
+            return None
+        if not 0.0 <= 0.5 * (a + b) + d <= 1.0:
+            return None
+    return moved

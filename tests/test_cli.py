@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from concept_interference import (
     InfeasibilityError,
-    fruits_vegetables_csv,
     parse_table,
     solve,
     validate_and_normalize,
@@ -20,6 +19,7 @@ from concept_interference.cli import (
     build_solve_report,
     main,
 )
+from concept_interference.dataset import fruits_vegetables_csv
 
 from conftest import feasible_tables, solve_feasible
 
@@ -312,6 +312,31 @@ class TestVerifyCommand:
         status = main(["verify", str(report_path)])
         assert status == 2
         assert "verification failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _edited(lambda report: report["vector_b"][0].update(re=math.nan)),
+            _edited(
+                lambda report: (
+                    report["vector_b"][0].update(re=math.nan),
+                    report["residuals"].update(
+                        dict.fromkeys(report["residuals"], math.nan)
+                    ),
+                )
+            ),
+        ],
+        ids=["nan-coordinate", "nan-coordinate-and-residuals"],
+    )
+    def test_verify_rejects_nan(self, dataset_path, tmp_path, capsys, corrupt):
+        report_path = tmp_path / "report.json"
+        main(["solve", str(dataset_path), "-o", str(report_path)])
+        report = json.loads(report_path.read_text())
+        report_path.write_text(json.dumps(corrupt(report)))
+        assert main(["verify", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert "verification failed" in captured.err
+        assert "model verified" not in captured.out
 
     def test_verify_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1

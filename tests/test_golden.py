@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from concept_interference import fruits_vegetables_csv
+from concept_interference.dataset import fruits_vegetables_csv
 from concept_interference.cli import main
 
 SOLVE_REPORT = "957d059c3fe7ca7080a3397ecdcf1d0d54f4c56ff6f4e390e9805b5cc98bd115"

@@ -1,3 +1,6 @@
+"""The Hilbert-space kernel of the solver: the projector layout, the
+range-safe norm, and the orthogonality and projections of solved vectors."""
+
 import math
 
 import numpy as np
@@ -7,47 +10,42 @@ from hypothesis import strategies as st
 
 from concept_interference import (
     DimensionError,
-    OrthogonalityError,
     ProjectorLayout,
     ValidationError,
-    inner_product,
-    norm,
-    project_probability,
-    superpose_normalized,
+    measure_residuals,
 )
+from concept_interference.solver import norm
+
+from conftest import make_table, reference_probability
+
+_ONE_ROW = make_table([1.0], [1.0], [1.0])
+_THREE_ROWS = make_table([0.5, 0.25, 0.25], [0.5, 0.25, 0.25], [0.5, 0.25, 0.25])
 
 
 class TestInnerProduct:
+    # measure_residuals reports the modulus of <A|B> as orthogonality_modulus
     def test_orthogonal_canonical_vectors(self):
-        assert inner_product([1, 0], [0, 1]) == 0
+        report = measure_residuals([1, 0], [0, 1], _ONE_ROW, ProjectorLayout(n=1, m=1))
+        assert report.orthogonality_modulus == 0.0
 
     def test_unit_self_inner_product(self):
         u = np.array([0.5, 0.5j, 0.5, -0.5j])
-        value = inner_product(u, u)
-        assert value.real == pytest.approx(1.0, abs=1e-12)
-        assert value.imag == pytest.approx(0.0, abs=1e-12)
-
-    def test_conjugate_linear_in_first_argument(self):
-        u = np.array([1j, 2.0])
-        v = np.array([3.0, 1j])
-        assert inner_product(2j * u, v) == pytest.approx(-2j * inner_product(u, v))
-        assert inner_product(u, 2j * v) == pytest.approx(2j * inner_product(u, v))
+        report = measure_residuals(u, u, _THREE_ROWS, ProjectorLayout(n=3, m=1))
+        assert report.orthogonality_modulus == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            inner_product([1, 0], [1, 0, 0])
+            measure_residuals([1, 0], [1, 0, 0], _ONE_ROW, ProjectorLayout(n=1, m=1))
 
     def test_reference_vectors_orthogonal(self, reference_solution):
-        value = inner_product(
-            reference_solution.vector_a, reference_solution.vector_b
-        )
+        value = np.vdot(reference_solution.vector_a, reference_solution.vector_b)
         assert abs(value) < 1e-9
 
 
 class TestProjectProbability:
     def test_reference_first_coordinate(self, reference_solution):
         layout = ProjectorLayout(n=24, m=reference_solution.m)
-        probability = project_probability(
+        probability = reference_probability(
             layout, 1, reference_solution.vector_a
         )
         assert probability == pytest.approx(0.0359, abs=1e-4)
@@ -56,35 +54,35 @@ class TestProjectProbability:
     def test_plane_projector_recovers_marginal(self, reference_solution):
         # at k = m the ray and the plane coordinate together restore mu_b_m
         layout = ProjectorLayout(n=24, m=reference_solution.m)
-        probability = project_probability(
+        probability = reference_probability(
             layout, reference_solution.m, reference_solution.vector_b
         )
         assert probability == pytest.approx(0.0679, abs=1e-4)
 
     def test_canonical_basis_vector(self):
-        layout = ProjectorLayout(n=3, m=2)
+        # |A> = e_1, |B> = 0: the superposition is measured as outcome 1 only
         u = np.zeros(4, dtype=complex)
         u[0] = 1.0
-        assert project_probability(layout, 1, u) == 1.0
-        assert project_probability(layout, 2, u) == 0.0
-        assert project_probability(layout, 3, u) == 0.0
+        table = make_table([0.5, 0.25, 0.25], [0.5, 0.25, 0.25], [0.5, 0.0, 0.0])
+        report = measure_residuals(u, np.zeros(4), table, ProjectorLayout(n=3, m=2))
+        assert report.max_reconstruction_error == 0.0
 
     def test_plane_coordinate_counts_toward_m(self):
-        layout = ProjectorLayout(n=3, m=2)
         u = np.zeros(4, dtype=complex)
         u[3] = 1.0
-        assert project_probability(layout, 2, u) == 1.0
-
-    def test_index_out_of_range(self):
-        layout = ProjectorLayout(n=3, m=2)
-        with pytest.raises(IndexError):
-            project_probability(layout, 0, np.zeros(4))
-        with pytest.raises(IndexError):
-            project_probability(layout, 4, np.zeros(4))
+        table = make_table([0.5, 0.25, 0.25], [0.5, 0.25, 0.25], [0.0, 0.5, 0.0])
+        for m, error in ((2, 0.0), (1, 0.5)):
+            report = measure_residuals(u, np.zeros(4), table, ProjectorLayout(n=3, m=m))
+            assert report.max_reconstruction_error == error
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            project_probability(ProjectorLayout(n=3, m=1), 1, np.zeros(3))
+        good = np.zeros(4, dtype=complex)
+        layout = ProjectorLayout(n=3, m=1)
+        for shape in [(3,), (5,), (4, 1), ()]:
+            with pytest.raises(DimensionError):
+                measure_residuals(np.zeros(shape), good, _THREE_ROWS, layout)
+            with pytest.raises(DimensionError):
+                measure_residuals(good, np.zeros(shape), _THREE_ROWS, layout)
 
     def test_bad_layout(self):
         with pytest.raises(ValidationError):
@@ -115,28 +113,18 @@ class TestNorm:
 
 
 class TestSuperpose:
-    def test_canonical_case(self):
-        result = superpose_normalized([1, 0], [0, 1])
-        assert np.allclose(result, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-
     def test_reference_superposition_reproduces_combination(
         self, reference_table, reference_solution
     ):
         layout = ProjectorLayout(n=24, m=reference_solution.m)
-        superposed = superpose_normalized(
-            reference_solution.vector_a, reference_solution.vector_b
-        )
+        superposed = (
+            reference_solution.vector_a + reference_solution.vector_b
+        ) / math.sqrt(2.0)
         for k in range(1, 25):
-            probability = project_probability(layout, k, superposed)
+            probability = reference_probability(layout, k, superposed)
             assert probability == pytest.approx(
                 reference_table.mu_ab[k - 1], abs=1e-9
             )
-
-    def test_equal_vectors_rejected(self):
-        u = np.array([1.0, 0.0])
-        with pytest.raises(OrthogonalityError) as excinfo:
-            superpose_normalized(u, u)
-        assert excinfo.value.residual == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +155,14 @@ def vector_pairs(draw):
 @given(vector_pairs())
 @settings(max_examples=100)
 def test_hermitian_symmetry(pair):
-    u, v = pair
-    forward = inner_product(u, v)
-    backward = inner_product(v, u)
-    assert forward.real == pytest.approx(backward.real, abs=1e-9)
-    assert forward.imag == pytest.approx(-backward.imag, abs=1e-9)
+    # |<u|v>| = |<v|u>|: the orthogonality check does not depend on the order
+    u, v = (np.append(w, 0.0) for w in pair)
+    n = len(u) - 1
+    table = make_table([1.0 / n] * n, [1.0 / n] * n, [1.0 / n] * n)
+    layout = ProjectorLayout(n=n, m=1)
+    forward = measure_residuals(u, v, table, layout).orthogonality_modulus
+    backward = measure_residuals(v, u, table, layout).orthogonality_modulus
+    assert forward == pytest.approx(backward, abs=1e-9)
 
 
 @given(vector_pairs(), st.integers(min_value=1, max_value=8))
@@ -182,7 +173,7 @@ def test_projector_completeness(pair, m_seed):
     extended = np.append(u, complex(0.5, -0.25))
     layout = ProjectorLayout(n=n, m=1 + m_seed % n)
     total = sum(
-        project_probability(layout, k, extended) for k in range(1, n + 1)
+        reference_probability(layout, k, extended) for k in range(1, n + 1)
     )
     assert total == pytest.approx(norm(extended) ** 2, abs=1e-9)
 
@@ -196,5 +187,5 @@ def test_superposition_norm_identity(pair):
     u = u / norm(u)
     v = v / norm(v)
     blended = (u + v) / math.sqrt(2.0)
-    expected = 1.0 + inner_product(u, v).real
+    expected = 1.0 + np.vdot(u, v).real
     assert norm(blended) ** 2 == pytest.approx(expected, abs=1e-9)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,13 +20,19 @@ from concept_interference import (
     compute_lambda_magnitudes,
     compute_phases,
     measure_residuals,
-    project_probability,
     sign_assignment_trace,
     solve,
+    validate_and_normalize,
     verify_solution,
 )
 
-from conftest import feasible_tables, make_table, solve_feasible
+from conftest import (
+    feasible_tables,
+    make_table,
+    place_on_boundary,
+    reference_probability,
+    solve_feasible,
+)
 from reference_values import (
     MOST_STRENGTHENING,
     MOST_WEAKENING,
@@ -79,6 +86,44 @@ class TestLambdaMagnitudes:
         assert radicand == pytest.approx(0.01 * 0.01 - 0.49**2)
         assert math.isnan(magnitudes[0])
         assert not math.isnan(magnitudes[1])
+
+
+@pytest.mark.parametrize(
+    "n, ratio", [(4, 1.0), (4, 1000.0), (2, 1.0)], ids=["balanced", "unbalanced", "two-rows"]
+)
+def test_rows_at_zero_or_180_degrees_are_feasible(n, ratio):
+    # Seeded n-row tables with one row at d = +-sqrt(mu_a * mu_b), the other
+    # rows absorbing the shift; "unbalanced" gives that row a mu_a about
+    # `ratio` times its mu_b.  Rounding leaves its radicand a few ulps either
+    # side of 0, and a negative one must read as 0, not as infeasible.  With
+    # two rows the other row is m, and its phase sits on the boundary too.
+    rng = random.Random(7)
+    solved = 0
+    while solved < 200:
+        row = rng.randrange(n)
+        weights_a = [rng.uniform(0.05, 1.0) for _ in range(n)]
+        weights_b = [rng.uniform(0.05, 1.0) for _ in range(n)]
+        weights_b[row] = weights_a[row] / (ratio * rng.uniform(1.0, 3.0))
+        mu_a = [w / math.fsum(weights_a) for w in weights_a]
+        mu_b = [w / math.fsum(weights_b) for w in weights_b]
+        geometric = [math.sqrt(a * b) for a, b in zip(mu_a, mu_b)]
+        raw = [g * rng.uniform(-0.5, 0.5) for g in geometric]
+        drift, total = math.fsum(raw), math.fsum(geometric)
+        centered = [d - g / total * drift for d, g in zip(raw, geometric)]
+        cos_phi = rng.choice((1.0, -1.0))
+        deviations = place_on_boundary(mu_a, mu_b, geometric, centered, row, cos_phi)
+        if deviations is None:
+            continue
+        mu_ab = [0.5 * (a + b) + d for a, b, d in zip(mu_a, mu_b, deviations)]
+        table = validate_and_normalize(make_table(mu_a, mu_b, mu_ab))
+        solution = solve(table)
+        assert solution.lambdas[row] == 0.0
+        assert abs(solution.phi_deg[row]) == (0.0 if cos_phi > 0.0 else 180.0)
+        assert solution.residuals.orthogonality_modulus < 1e-9
+        assert solution.residuals.max_reconstruction_error < 1e-9
+        if n == 2:
+            assert abs(solution.phi_deg[solution.m - 1]) in (0.0, 180.0)
+        solved += 1
 
 
 class TestSignAssignment:
@@ -481,7 +526,7 @@ def test_reconstruction_error_matches_projector_reference(table):
     layout = ProjectorLayout(table.n, solution.m)
     superposed = solution.vector_a + solution.vector_b
     reference = max(
-        abs(0.5 * project_probability(layout, k, superposed) - table.mu_ab[k - 1])
+        abs(0.5 * reference_probability(layout, k, superposed) - table.mu_ab[k - 1])
         for k in range(1, table.n + 1)
     )
     report = measure_residuals(solution.vector_a, solution.vector_b, table, layout)

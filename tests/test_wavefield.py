@@ -12,8 +12,6 @@ from concept_interference import (
     GaussianField,
     PhaseField,
     ValidationError,
-    circle_intersections,
-    cos_deg,
     default_window,
     fit_gaussian_fields,
     grid_to_csv,
@@ -24,6 +22,7 @@ from concept_interference import (
     render_grids,
     solve,
 )
+from concept_interference.wavefield import circle_intersections, cos_deg
 
 from conftest import feasible_tables, make_table
 from reference_values import SIGMA_A, SIGMA_B
