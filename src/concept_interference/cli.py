@@ -38,7 +38,6 @@ from .solver import (
     measure_residuals,
     solve,
 )
-from .thresholds import Thresholds
 from .wavefield import (
     ConstantPhaseField,
     DEFAULT_CENTER_A,
@@ -58,11 +57,14 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
+# The paper's tolerance on every residual that solve and verify check.
+RESIDUAL_THRESHOLD = 1e-9
+
 _RESIDUAL_THRESHOLD_KEYS = (
-    ("orthogonality_modulus", "orthogonality"),
-    ("norm_a_error", "norm"),
-    ("norm_b_error", "norm"),
-    ("max_reconstruction_error", "reconstruction"),
+    "orthogonality_modulus",
+    "norm_a_error",
+    "norm_b_error",
+    "max_reconstruction_error",
 )
 
 
@@ -282,18 +284,17 @@ def _infeasible(error: ConceptInterferenceError) -> int:
     return EXIT_INFEASIBLE
 
 
-def _over_thresholds(residuals, thresholds: Thresholds) -> dict[str, float]:
-    """Residual name -> threshold, for each residual above its threshold."""
-    return {
-        key: getattr(thresholds, threshold_key)
-        for key, threshold_key in _RESIDUAL_THRESHOLD_KEYS
-        # written so that a NaN residual counts as over its threshold
-        if not getattr(residuals, key) <= getattr(thresholds, threshold_key)
-    }
+def _over_threshold(residuals) -> list[str]:
+    """Names of the residuals above RESIDUAL_THRESHOLD."""
+    return [
+        key
+        for key in _RESIDUAL_THRESHOLD_KEYS
+        # written so that a NaN residual counts as over the threshold
+        if not getattr(residuals, key) <= RESIDUAL_THRESHOLD
+    ]
 
 
 def _run_solve(args) -> int:
-    thresholds = Thresholds.from_env()
     raw, table, solution, error = _load_and_solve(args)
     if error is not None:
         _write_json(build_infeasible_report(raw, table, error), args.output)
@@ -301,8 +302,8 @@ def _run_solve(args) -> int:
     _write_json(build_solve_report(raw, table, solution), args.output)
     residuals = solution.residuals
     over = [
-        f"{key} = {getattr(residuals, key):.3e} > {threshold:.0e}"
-        for key, threshold in _over_thresholds(residuals, thresholds).items()
+        f"{key} = {getattr(residuals, key):.3e} > {RESIDUAL_THRESHOLD:.0e}"
+        for key in _over_threshold(residuals)
     ]
     if over:
         print("model residuals over thresholds: " + "; ".join(over), file=sys.stderr)
@@ -392,7 +393,6 @@ def _table_from_report(data: dict) -> TypicalityTable:
 
 
 def _run_verify(args) -> int:
-    thresholds = Thresholds.from_env()
     try:
         data = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -408,23 +408,24 @@ def _run_verify(args) -> int:
             for key in ("vector_a", "vector_b")
         )
         stored = {
-            key: float(data["residuals"][key])
-            for key, _ in _RESIDUAL_THRESHOLD_KEYS
+            key: float(data["residuals"][key]) for key in _RESIDUAL_THRESHOLD_KEYS
         }
         layout = ProjectorLayout(table.n, int(data["m"]))
         recomputed = measure_residuals(vector_a, vector_b, table, layout)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"malformed report: {exc!r}")
 
-    over = _over_thresholds(recomputed, thresholds)
+    over = _over_threshold(recomputed)
     failures = []
-    for key, _ in _RESIDUAL_THRESHOLD_KEYS:
+    for key in _RESIDUAL_THRESHOLD_KEYS:
         value = getattr(recomputed, key)
         print(f"{key} = {value:.6e}")
         if not abs(value - stored[key]) <= 1e-12:  # NaN differs too
             failures.append(f"{key} differs from the stored value {stored[key]!r}")
         if key in over:
-            failures.append(f"{key} = {value:.3e} over threshold {over[key]:.0e}")
+            failures.append(
+                f"{key} = {value:.3e} over threshold {RESIDUAL_THRESHOLD:.0e}"
+            )
     if failures:
         for failure in failures:
             print(f"verification failed: {failure}", file=sys.stderr)

@@ -20,9 +20,11 @@ reproduces the mu_ab column exactly.  The construction runs in stages:
                     sqrt(mu_a_m * mu_b_m), the single sub-unit coefficient
                     on exemplar m that cancels the leftover imaginary sum
                     and makes <A|B> = 0 exactly;
-5. phases           cos(phi_k) = d_k / (c_k sqrt(mu_a_k mu_b_k)) with
-                    c_k = 1 for k != m, the sign of phi_k copied from
-                    lambda_k; beta_k = phi_k except beta_m = |phi_m|;
+5. phases           phi_k = atan2(lambda_k, d_k), the argument of
+                    exemplar k's interference term (d_k, lambda_k) =
+                    c_k sqrt(mu_a_k mu_b_k) (cos phi_k, sin phi_k), and
+                    phi_m = atan2(|sum of the off-m lambdas|, d_m);
+                    beta_k = phi_k except beta_m = |phi_m|;
 6. vectors          |A> real with coordinates sqrt(mu_a_k) and 0 in the
                     extra plane coordinate; |B> with coordinates
                     e^(i beta_k) sqrt(mu_b_k), scaled by c_m at m, and
@@ -63,9 +65,6 @@ _RADICAND_SLACK = 8 * float(np.finfo(np.float64).eps)
 
 # Rounding slack: c_m above 1 by more than this is an error, within it a clamp.
 _CM_OVERSHOOT_SLACK = 1e-9
-
-# Rounding slack for arccos arguments just outside [-1, 1].
-_ARCCOS_CLAMP_SLACK = 1e-12
 
 # Below this unscaled norm the squared norm (< 1e-292) is near enough to the
 # subnormal range that rounding of subnormal squares can show in the result,
@@ -269,7 +268,8 @@ def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
     product_m = float(table.mu_a[m - 1] * table.mu_b[m - 1])
     if product_m <= 0.0:
         raise DegeneracyError(
-            f"exemplar {m} has zero marginal probability product"
+            f"exemplar {m} ({table.names[m - 1]}) has zero marginal "
+            "probability product"
         )
     c_m = math.sqrt((off_sum * off_sum + deviation_m * deviation_m) / product_m)
     if c_m > 1.0 + _CM_OVERSHOOT_SLACK:
@@ -295,36 +295,26 @@ def compute_phases(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interference phases phi_k and vector phases beta_k, in degrees.
 
-    phi_k = sign(lambda_k) * arccos(d_k / (c_k sqrt(mu_a_k mu_b_k))) with
-    c_k = 1 for k != m and c_m at m; beta equals phi except beta_m =
-    |phi_m|.  Arguments within 1e-12 of the [-1, 1] boundary are clamped;
-    farther outside is an infeasibility error.  A zero lambda puts its row
-    on the boundary, and so does a zero sum of the off-m lambdas for m (c_m
-    then has no imaginary part to cancel): such an argument reads as exactly
-    +1 or -1, a phase of 0 or 180 degrees.
+    Each phase is the argument of its row's interference term (d_k,
+    lambda_k) = c_k sqrt(mu_a_k mu_b_k) (cos phi_k, sin phi_k): phi_k =
+    atan2(lambda_k, d_k) for k != m, and phi_m = atan2(|s|, d_m), where s
+    is the off-m lambda sum that exemplar m's term cancels (its scale c_m
+    sqrt(mu_a_m mu_b_m) drops out).  beta equals phi except beta_m =
+    |phi_m|.  A zero lambda, or a zero s for m, puts its row on the
+    boundary: a phase of exactly 0 or 180 degrees.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
     if not 0.0 < c_m <= 1.0:
         raise ValidationError(f"c_m must be in (0, 1], got {c_m!r}")
-    c = np.ones(table.n)
-    c[m - 1] = c_m
-    arguments = compute_deviations(table) / (c * np.sqrt(table.mu_a * table.mu_b))
-    outside = np.flatnonzero(np.abs(arguments) > 1.0 + _ARCCOS_CLAMP_SLACK)
-    if outside.size:
-        k = int(outside[0])
-        raise InfeasibilityError(
-            f"exemplar {k + 1} ({table.names[k]}): phase cosine "
-            f"{float(arguments[k])!r} lies outside [-1, 1]"
-        )
-    # fmax/fmin rather than clip: a 0/0 argument (a marginal product that
-    # underflows to 0 with a zero deviation) clamps to -1 instead of NaN
-    clamped = np.fmin(1.0, np.fmax(-1.0, arguments))
-    boundary = lambdas == 0.0
-    boundary[m - 1] = _off_m_sum(lambdas, m) == 0.0
-    clamped = np.where(boundary, np.copysign(1.0, arguments), clamped)
-    # scalar libm acos: np.arccos differs from it in the last ulp on some inputs
-    angle = np.array([math.degrees(math.acos(x)) for x in clamped.tolist()])
-    phi = np.where(lambdas >= 0.0, angle, -angle)
+    lambdas = np.asarray(lambdas, dtype=float)
+    # + 0.0 turns a -0.0 lambda into +0.0, so a boundary row at d < 0 reads
+    # +180 degrees, not -180
+    sines = lambdas + 0.0
+    sines[m - 1] = abs(_off_m_sum(lambdas, m))
+    # scalar libm atan2: np.arctan2 differs from it in the last ulp on some inputs
+    phi = np.array([
+        math.degrees(math.atan2(y, x))
+        for y, x in zip(sines.tolist(), compute_deviations(table).tolist())
+    ])
     beta = phi.copy()
     beta[m - 1] = abs(beta[m - 1])
     return phi, beta

@@ -40,6 +40,17 @@ def reference_probability(layout, k, u):
     return float(probability)
 
 
+def reference_phase(table, k, lambda_k, c_k):
+    """The paper's phase of row k in degrees, sign(lambda_k) arccos(cos
+    phi_k) with cos phi_k = d_k / (c_k sqrt(mu_a_k mu_b_k)), and that
+    cosine.  arccos is ill-conditioned near 0 and 180 degrees, so
+    compute_phases is checked against it away from there only."""
+    a, b, ab = (float(col[k - 1]) for col in (table.mu_a, table.mu_b, table.mu_ab))
+    cosine = (ab - 0.5 * (a + b)) / (c_k * math.sqrt(a * b))
+    angle = math.degrees(math.acos(max(-1.0, min(1.0, cosine))))
+    return (-angle if lambda_k < 0.0 else angle), cosine
+
+
 def make_table(mu_a, mu_b, mu_ab, names=None, **kwargs) -> TypicalityTable:
     names = names or [f"E{i + 1}" for i in range(len(mu_a))]
     records = tuple(
@@ -75,7 +86,8 @@ def oracle_table():
 # hypothesis strategy: random tables whose interference model is feasible.
 # mu_ab is built as average + bounded deviation, which keeps every radicand
 # strictly positive and every entry a probability, except that one row may
-# sit on the boundary, at a phase of exactly 0 or 180 degrees.
+# sit on the boundary, at a phase of exactly 0 or 180 degrees.  Some draws
+# also carry near-tied magnitudes or a marginal near 1e-12.
 # ---------------------------------------------------------------------------
 
 _WEIGHTS = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
@@ -89,8 +101,8 @@ def _normalized(values):
 @st.composite
 def feasible_tables(draw, min_n=2, max_n=9):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    mu_a = _normalized(draw(st.lists(_WEIGHTS, min_size=n, max_size=n)))
-    mu_b = _normalized(draw(st.lists(_WEIGHTS, min_size=n, max_size=n)))
+    weights_a = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    weights_b = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
     angles = draw(
         st.lists(
             st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False),
@@ -98,6 +110,20 @@ def feasible_tables(draw, min_n=2, max_n=9):
             max_size=n,
         )
     )
+    # About 1 draw in 3 each: two rows at the same angle whose geometric
+    # means differ by about 1e-15 relative (near-tied magnitudes), or one
+    # marginal scaled to between 1e-13 and 1e-11.
+    edge = draw(st.sampled_from((None, "near-tie", "tiny-marginal")))
+    row, other = draw(st.permutations(range(n)))[:2]
+    if edge == "near-tie":
+        weights_a[other] = weights_a[row] * (1.0 + 2e-15)
+        weights_b[other] = weights_b[row]
+        angles[other] = angles[row]
+    elif edge == "tiny-marginal":
+        weights = draw(st.sampled_from((weights_a, weights_b)))
+        size = draw(st.floats(min_value=1e-13, max_value=1e-11))
+        weights[row] = size * (math.fsum(weights) - weights[row])
+    mu_a, mu_b = _normalized(weights_a), _normalized(weights_b)
     shrink = draw(st.floats(min_value=0.0, max_value=0.9))
     # cos(phi) of the boundary row, if any, and its index
     boundary = draw(st.sampled_from((None, 1.0, -1.0)))

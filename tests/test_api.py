@@ -4,7 +4,6 @@ API: say so in the change log and the README's "Library use" section."""
 import concept_interference
 
 PUBLIC_NAMES = [
-    "CONFIG_ENV_VAR",
     "Classification",
     "ConceptInterferenceError",
     "ConstantPhaseField",
@@ -24,7 +23,6 @@ PUBLIC_NAMES = [
     "ProjectorLayout",
     "RasterGrid",
     "SignStep",
-    "Thresholds",
     "TypicalityTable",
     "ValidationError",
     "VerificationReport",

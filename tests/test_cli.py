@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from concept_interference import (
     InfeasibilityError,
+    cli,
     parse_table,
     solve,
     validate_and_normalize,
@@ -266,31 +267,26 @@ class TestSolveCommand:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_residual_over_threshold_exits_2(
+        self, dataset_path, tmp_path, capsys, monkeypatch
+    ):
+        # an absurdly strict threshold trips the residual gate of both
+        # commands; solve still writes its report
+        monkeypatch.setattr(cli, "RESIDUAL_THRESHOLD", 1e-30)
+        report_path = tmp_path / "r.json"
+        assert main(["solve", str(dataset_path), "-o", str(report_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model residuals over thresholds: orthogonality_modulus")
+        assert "> 1e-30" in err
+        assert main(["verify", str(report_path)]) == 2
+        err = capsys.readouterr().err
+        assert "verification failed: orthogonality_modulus = " in err
+        assert "over threshold 1e-30" in err
+
     def test_unwritable_output_exits_1(self, dataset_path, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "r.json"
         assert main(["solve", str(dataset_path), "-o", str(target)]) == 1
         capsys.readouterr()
-
-
-class TestThresholdConfig:
-    def test_config_file_overrides(self, dataset_path, tmp_path, capsys, monkeypatch):
-        config = tmp_path / "thresholds.cfg"
-        # an absurdly strict orthogonality threshold trips the residual gate
-        config.write_text("orthogonality = 1e-30\n")
-        monkeypatch.setenv("CONCEPT_INTERFERENCE_CONFIG", str(config))
-        status = main(["solve", str(dataset_path), "-o", str(tmp_path / "r.json")])
-        assert status == 2
-        assert "orthogonality" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["typo_key", "lambda_regression"])
-    def test_unknown_config_key_exits_1(
-        self, dataset_path, tmp_path, capsys, monkeypatch, key
-    ):
-        config = tmp_path / "thresholds.cfg"
-        config.write_text(f"{key} = 1\n")
-        monkeypatch.setenv("CONCEPT_INTERFERENCE_CONFIG", str(config))
-        assert main(["solve", str(dataset_path)]) == 1
-        assert key in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -3,7 +3,7 @@
 A refactor that keeps behaviour must keep these bytes.  The digests were
 recorded with numpy 2.4.6 on CPython 3.11.7, x86_64 Linux (glibc libm).
 The render rasters go through numpy's exp/cos/sqrt and the solve report
-through math.acos, so another numpy build or platform may differ in the
+through math.atan2, so another numpy build or platform may differ in the
 last ulp of some values; a digest change there must be explained, not
 simply re-recorded.
 """
@@ -15,8 +15,12 @@ import pytest
 from concept_interference.dataset import fruits_vegetables_csv
 from concept_interference.cli import main
 
-SOLVE_REPORT = "957d059c3fe7ca7080a3397ecdcf1d0d54f4c56ff6f4e390e9805b5cc98bd115"
-VERIFY_STDOUT = "36f46264e2c5d7abdd576ecedbf34fb25ef31f1db58660d49f05a3788f7ef725"
+# Re-recorded when phases became atan2(lambda, d) instead of an arccos of
+# d / (c sqrt(mu_a mu_b)): 2 of the 24 phases moved by at most 1.5e-14
+# degrees, and with them two coordinates of vector_b and the orthogonality
+# residual (1.908196e-17 -> 5.204170e-18, which verify prints).
+SOLVE_REPORT = "4e43b1359a8d62614f453aa9b4919e86b0699b64a52df2dcef6e4dc83a2538eb"
+VERIFY_STDOUT = "f8c9fc123a1a1a737961d3204ab951958050578e4fca32323c1129c210eee048"
 CLASSIFY_STDOUT = "4f422d4e964b51789900920c4e8181c432bc280173fc5ecfa07dd719166a718c"
 RENDER_FILES = {
     "a_only.csv": "b636b0b8e63885291ec34c02f2a9d2f6a16cddc2d35c8af8548b097e7e7c730e",
@@ -25,7 +29,9 @@ RENDER_FILES = {
     "b_only.pgm": "a266adad0838351f9291789a7d6c488b38709417de0f21b7cf4c8b6e90d21849",
     "classical.csv": "f6a8981bd60535f02808b8dd351ef8039011f252ee9a768bf18649c3ae1974d0",
     "classical.pgm": "b58f6c79f9beb5c249586c1944801b8e15d5aadb1d14aa9486d0be09340650fc",
-    "interference.csv": "deb3e51ae342b15c935e2df631d8fee2ad49658f3e239bc35945e5c6b21aad94",
+    # re-recorded with the atan2 phases: 1,086 of 160,000 pixels moved by at
+    # most 4.9e-17; interference.pgm quantizes them away
+    "interference.csv": "257659ab2c7aad90383c35529f7ec3672cbfd0c136b5badc0fb37b59333b6d22",
     "interference.pgm": "ae02936818400b679fef181b962ff114fe079e01ae5b446705ffdcc9a685084a",
     "placements.csv": "8916baac2a99130cf1c7e5a9b60272bf3c48bad3960543fc7a74cb09d71b4ddb",
 }

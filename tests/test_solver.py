@@ -30,6 +30,7 @@ from conftest import (
     feasible_tables,
     make_table,
     place_on_boundary,
+    reference_phase,
     reference_probability,
     solve_feasible,
 )
@@ -89,14 +90,35 @@ class TestLambdaMagnitudes:
 
 
 @pytest.mark.parametrize(
-    "n, ratio", [(4, 1.0), (4, 1000.0), (2, 1.0)], ids=["balanced", "unbalanced", "two-rows"]
+    "n, ratio, gap",
+    [
+        (4, 1.0, 0.0),
+        (4, 1000.0, 0.0),
+        (2, 1.0, 0.0),
+        (4, 1.0, 1e-15),
+        (4, 100.0, 1e-15),
+        (4, 1.0, 1e-14),
+        (4, 100.0, 1e-14),
+    ],
+    ids=[
+        "balanced",
+        "unbalanced",
+        "two-rows",
+        "near-1e-15",
+        "near-1e-15-unbalanced",
+        "near-1e-14",
+        "near-1e-14-unbalanced",
+    ],
 )
-def test_rows_at_zero_or_180_degrees_are_feasible(n, ratio):
-    # Seeded n-row tables with one row at d = +-sqrt(mu_a * mu_b), the other
-    # rows absorbing the shift; "unbalanced" gives that row a mu_a about
-    # `ratio` times its mu_b.  Rounding leaves its radicand a few ulps either
-    # side of 0, and a negative one must read as 0, not as infeasible.  With
-    # two rows the other row is m, and its phase sits on the boundary too.
+def test_rows_at_zero_or_180_degrees_are_feasible(n, ratio, gap):
+    # Seeded n-row tables with one row at d = +-(1 - gap) sqrt(mu_a * mu_b),
+    # the other rows absorbing the shift; "unbalanced" gives that row a mu_a
+    # about `ratio` times its mu_b.  On the boundary (gap 0) rounding leaves
+    # its radicand a few ulps either side of 0, and a negative one must read
+    # as 0, not as infeasible.  With two rows the other row is m, and its
+    # phase sits on the boundary too.  Just off the boundary the radicand may
+    # or may not read as 0; either way the phase must match the lambda, or
+    # |<A|B>| grows to the order of sqrt(eps) * 1e-2.
     rng = random.Random(7)
     solved = 0
     while solved < 200:
@@ -110,16 +132,17 @@ def test_rows_at_zero_or_180_degrees_are_feasible(n, ratio):
         raw = [g * rng.uniform(-0.5, 0.5) for g in geometric]
         drift, total = math.fsum(raw), math.fsum(geometric)
         centered = [d - g / total * drift for d, g in zip(raw, geometric)]
-        cos_phi = rng.choice((1.0, -1.0))
+        cos_phi = rng.choice((1.0, -1.0)) * (1.0 - gap)
         deviations = place_on_boundary(mu_a, mu_b, geometric, centered, row, cos_phi)
         if deviations is None:
             continue
         mu_ab = [0.5 * (a + b) + d for a, b, d in zip(mu_a, mu_b, deviations)]
         table = validate_and_normalize(make_table(mu_a, mu_b, mu_ab))
         solution = solve(table)
-        assert solution.lambdas[row] == 0.0
-        assert abs(solution.phi_deg[row]) == (0.0 if cos_phi > 0.0 else 180.0)
-        assert solution.residuals.orthogonality_modulus < 1e-9
+        if gap == 0.0:
+            assert solution.lambdas[row] == 0.0
+            assert abs(solution.phi_deg[row]) == (0.0 if cos_phi > 0.0 else 180.0)
+        assert solution.residuals.orthogonality_modulus <= 1e-12
         assert solution.residuals.max_reconstruction_error < 1e-9
         if n == 2:
             assert abs(solution.phi_deg[solution.m - 1]) in (0.0, 180.0)
@@ -188,6 +211,12 @@ class TestClosingCoefficient:
             compute_cm(table, np.array([0.1, 2.0]), 1)
         assert excinfo.value.report.cm_violation > 1.0
 
+    def test_zero_marginal_product_at_m_names_exemplar(self):
+        # an unnormalized table can reach compute_cm with mu_a_m = 0
+        table = make_table([0.0, 0.5], [0.5, 0.5], [0.5, 0.5], names=["Kale", "Fig"])
+        with pytest.raises(DegeneracyError, match=r"exemplar 1 \(Kale\) has zero"):
+            compute_cm(table, np.array([0.5, -0.1]), 1)
+
     def test_cm_zero_is_degenerate(self):
         # both deviations zero and the off-m lambda exactly zero
         table = make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
@@ -211,16 +240,13 @@ class TestPhases:
         assert phi[1] == -90.0
         assert beta[0] == 90.0
 
-    def test_out_of_range_cosine_names_exemplar_as_plain_float(
-        self, reference_table, reference_solution
+    @pytest.mark.parametrize("c_m", [0.0, 1.5, math.nan])
+    def test_closing_coefficient_outside_unit_interval_rejected(
+        self, reference_table, reference_solution, c_m
     ):
-        # a c_m far below its solved value pushes the cosine at m past 1
-        m = reference_solution.m
-        with pytest.raises(InfeasibilityError) as info:
-            compute_phases(reference_table, reference_solution.lambdas, m, 1e-300)
-        message = str(info.value)
-        assert f"exemplar {m} ({reference_table.names[m - 1]})" in message
-        assert "np.float64" not in message
+        lambdas, m = reference_solution.lambdas, reference_solution.m
+        with pytest.raises(ValidationError, match="c_m must be in"):
+            compute_phases(reference_table, lambdas, m, c_m)
 
     def test_sign_follows_lambda(self, reference_solution):
         nonzero = reference_solution.lambdas != 0.0
@@ -468,12 +494,29 @@ def test_sign_sum_invariant(table):
 def test_phase_signs_follow_lambdas(table):
     solution = solve_feasible(table)
     nonzero = solution.lambdas != 0.0
-    # phi_k = sign(lambda_k) * arccos(...) keeps the sign on a zero angle
-    # (+0.0 / -0.0), which np.sign would read as 0, so compare sign bits.
+    # phi_k = atan2(lambda_k, d_k) keeps lambda's sign even on an angle that
+    # reads 0 (+0.0 / -0.0), which np.sign would read as 0: compare sign bits.
     assert np.all(
         np.signbit(solution.phi_deg[nonzero]) == (solution.lambdas[nonzero] < 0.0)
     )
     assert np.all(solution.c[np.arange(table.n) != solution.m - 1] == 1.0)
+
+
+@given(feasible_tables())
+@settings(max_examples=60, deadline=None)
+def test_phases_match_the_arccos_reference(table):
+    solution = solve_feasible(table)
+    m = solution.m
+    off_m_zero = math.fsum(np.delete(solution.lambdas, m - 1).tolist()) == 0.0
+    for k, (phi, lambda_k, c_k) in enumerate(
+        zip(solution.phi_deg, solution.lambdas, solution.c), start=1
+    ):
+        expected, cosine = reference_phase(table, k, lambda_k, c_k)
+        if (off_m_zero if k == m else lambda_k == 0.0):
+            # a boundary row: exactly 0 degrees, or +180 (never -180)
+            assert phi == (0.0 if cosine > 0.0 else 180.0)
+        elif abs(cosine) <= 1.0 - 1e-6:
+            assert abs(phi - expected) <= 1e-9
 
 
 @given(feasible_tables())
@@ -488,7 +531,11 @@ def test_classification_consistent_with_phase(table):
         elif label is Classification.STRENGTHENING:
             assert abs(phi) < 90.0
         else:
-            assert abs(phi) == pytest.approx(90.0, abs=1e-6)
+            # |d_k| <= 1e-12 and d_k = sqrt(mu_a_k mu_b_k) cos(phi_k), so phi_k
+            # is off 90 degrees by up to 1e-12 / sqrt(mu_a_k mu_b_k) radians,
+            # which a marginal near 1e-12 makes larger than 1e-6 degrees
+            geometric = math.sqrt(table.mu_a[k - 1] * table.mu_b[k - 1])
+            assert abs(geometric * math.cos(math.radians(phi))) <= 1e-12 + 1e-15
 
 
 @given(feasible_tables(min_n=3, max_n=7), st.randoms(use_true_random=False))
