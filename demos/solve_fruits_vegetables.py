@@ -26,14 +26,15 @@ header = f"{'':>3} {'exemplar':<14} {'mu_a':>7} {'mu_b':>7} {'mu_ab':>7} {'avg':
 print()
 print(header)
 print("-" * len(header))
-for i, record in enumerate(table.records):
+columns = (table.mu_a.tolist(), table.mu_b.tolist(), table.mu_ab.tolist())
+for i, (name, mu_a, mu_b, mu_ab) in enumerate(zip(table.names, *columns)):
     print(
-        f"{record.index:>3} {record.name:<14}"
-        f" {record.mu_a:7.4f} {record.mu_b:7.4f} {record.mu_ab:7.4f}"
-        f" {0.5 * (record.mu_a + record.mu_b):7.4f}"
+        f"{i + 1:>3} {name:<14}"
+        f" {mu_a:7.4f} {mu_b:7.4f} {mu_ab:7.4f}"
+        f" {0.5 * (mu_a + mu_b):7.4f}"
         f" {solution.lambdas[i]:+8.4f}"
         f" {solution.phi_deg[i]:+10.4f}"
-        f"  {classes[record.index].value}"
+        f"  {classes[i + 1].value}"
     )
 
 print()

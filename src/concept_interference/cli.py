@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
@@ -20,7 +21,6 @@ import numpy as np
 from . import __version__
 from .dataset import (
     DEFAULT_SUM_TOLERANCE,
-    ExemplarRecord,
     TypicalityTable,
     parse_table,
     validate_and_normalize,
@@ -379,17 +379,10 @@ def _run_classify(args) -> int:
 
 def _table_from_report(data: dict) -> TypicalityTable:
     dataset = data["dataset"]
-    fields = ("index", "name", "mu_a", "mu_b", "mu_ab")
-    records = tuple(
-        ExemplarRecord(*(row[field] for field in fields)) for row in data["exemplars"]
-    )
-    return TypicalityTable(
-        records=records,
-        label_a=dataset["label_a"],
-        label_b=dataset["label_b"],
-        combination_label=dataset["combination_label"],
-        notes=tuple(dataset.get("notes", ())),
-    )
+    row = operator.itemgetter("index", "name", "mu_a", "mu_b", "mu_ab")
+    labels = {key: dataset[key] for key in ("label_a", "label_b", "combination_label")}
+    notes = dataset.get("notes", ())
+    return TypicalityTable(map(row, data["exemplars"]), notes=notes, **labels)
 
 
 def _run_verify(args) -> int:

@@ -21,12 +21,14 @@ whitespace.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, replace
 from importlib import resources
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -43,22 +45,23 @@ _COLUMN_FIELDS = ("mu_a", "mu_b", "mu_ab")
 _LABEL_KEYS = ("label_a", "label_b", "combination_label")
 
 
-def _check_text(kind: str, value: str, allow_empty: bool = False) -> None:
+def _text_problem(kind: str, value, allow_empty: bool = False) -> str | None:
+    """Why ``value`` cannot be a name, label or note, or None if it can."""
     if not isinstance(value, str):
-        raise ValidationError(f"{kind} must be text, got {type(value).__name__}")
+        return f"{kind} must be text, got {type(value).__name__}"
     if not allow_empty and not value:
-        raise ValidationError(f"{kind} must not be empty")
+        return f"{kind} must not be empty"
     if value != value.strip():
-        raise ValidationError(f"{kind} {value!r} has leading or trailing whitespace")
+        return f"{kind} {value!r} has leading or trailing whitespace"
     if "\n" in value or "\r" in value:
-        raise ValidationError(f"{kind} {value!r} contains a line break")
+        return f"{kind} {value!r} contains a line break"
     if value.startswith("#"):
-        raise ValidationError(f"{kind} {value!r} starts with the comment marker '#'")
+        return f"{kind} {value!r} starts with the comment marker '#'"
+    return None
 
 
-@dataclass(frozen=True)
-class ExemplarRecord:
-    """One exemplar with its three choice probabilities."""
+class ExemplarRecord(NamedTuple):
+    """One table row: 1-based index, name and the three choice probabilities."""
 
     index: int
     name: str
@@ -66,144 +69,179 @@ class ExemplarRecord:
     mu_b: float
     mu_ab: float
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValidationError(f"exemplar index must be >= 1, got {self.index}")
-        _check_text("exemplar name", self.name)
-        for field in _COLUMN_FIELDS:
-            value = getattr(self, field)
-            if not isinstance(value, float):
-                object.__setattr__(self, field, float(value))
-                value = getattr(self, field)
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise ValidationError(
-                    f"exemplar {self.index} ({self.name}): {field}={value!r} "
-                    "is not a probability in [0, 1]"
-                )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypicalityTable:
-    """Ordered exemplar records plus concept labels and free-form notes.
+    """Exemplar names and three probability columns, with concept labels
+    and free-form notes.
 
-    ``names`` and the three probability columns ``mu_a``, ``mu_b`` and
-    ``mu_ab`` are built once from the records, the columns as read-only
-    float64 arrays; equality and hashing stay on records, labels and notes.
+    Built from ``records``, any iterable of ``(index, name, mu_a, mu_b,
+    mu_ab)`` rows such as ``ExemplarRecord``, and keeps only ``names`` and
+    the read-only float64 columns ``mu_a``, ``mu_b`` and ``mu_ab``.  Each
+    row is checked here, once: indices run 1, 2, ..., names are unique text
+    and values are probabilities in [0, 1].
     """
 
-    records: tuple[ExemplarRecord, ...]
+    records: InitVar[Iterable[tuple[int, str, float, float, float]]]
     label_a: str = "A"
     label_b: str = "B"
     combination_label: str = "A or B"
     notes: tuple[str, ...] = ()
-    names: tuple[str, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    mu_a: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    mu_b: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    mu_ab: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] = dataclasses.field(init=False)
+    mu_a: np.ndarray = dataclasses.field(init=False, repr=False)
+    mu_b: np.ndarray = dataclasses.field(init=False, repr=False)
+    mu_ab: np.ndarray = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "notes", tuple(self.notes))
-        seen: set[str] = set()
-        for position, record in enumerate(self.records, start=1):
-            if record.index != position:
-                raise ValidationError(
-                    f"exemplar indices must be contiguous from 1: position "
-                    f"{position} holds index {record.index}"
+    def __post_init__(self, records):
+        rows = tuple(records)
+        n = len(rows)
+        indices, names, *values = zip(*rows, strict=True) if rows else ((),) * 5
+        columns = np.array([[*map(float, column)] for column in values]).reshape(3, n)
+        columns.flags.writeable = False
+
+        # Report the first row with a problem, checking its index, name and
+        # values in that order; then contiguity and duplicates, by row.
+        contiguous = indices == tuple(range(1, n + 1))
+        outside = ~((columns >= 0.0) & (columns <= 1.0))  # NaN is outside too
+        bad_names = [_text_problem("exemplar name", s) is not None for s in names]
+        faulty = outside.any(axis=0) | np.array(bad_names, bool)
+        if not contiguous:
+            faulty |= np.array([i < 1 for i in indices], bool)
+        if faulty.any():
+            k = int(np.argmax(faulty))
+            f = int(np.argmax(outside[:, k]))
+            if indices[k] < 1:
+                problem = f"exemplar index must be >= 1, got {indices[k]}"
+            else:
+                problem = _text_problem("exemplar name", names[k]) or (
+                    f"exemplar {indices[k]} ({names[k]}): {_COLUMN_FIELDS[f]}="
+                    f"{columns[f, k].item()!r} is not a probability in [0, 1]"
                 )
-            if record.name in seen:
-                raise ValidationError(f"duplicate exemplar name {record.name!r}")
-            seen.add(record.name)
-        for key in _LABEL_KEYS:
-            _check_text(key, getattr(self, key), allow_empty=True)
-        for note in self.notes:
-            _check_text("note", note)
-        object.__setattr__(self, "names", tuple(r.name for r in self.records))
-        for name in _COLUMN_FIELDS:
-            column = np.array([getattr(r, name) for r in self.records], dtype=float)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            raise ValidationError(problem, k + 1)
+        if not contiguous or len(set(names)) != n:
+            seen: set[str] = set()
+            for k, name in enumerate(names):
+                if indices[k] != k + 1:
+                    raise ValidationError(
+                        f"exemplar indices must be contiguous from 1: position "
+                        f"{k + 1} holds index {indices[k]}"
+                    )
+                if name in seen:
+                    raise ValidationError(f"duplicate exemplar name {name!r}")
+                seen.add(name)
+
+        object.__setattr__(self, "notes", tuple(self.notes))
+        texts = [(key, getattr(self, key), True) for key in _LABEL_KEYS]
+        for kind, text, allow_empty in texts + [("note", t, False) for t in self.notes]:
+            if problem := _text_problem(kind, text, allow_empty):
+                raise ValidationError(problem)
+        for field, value in zip(("names", *_COLUMN_FIELDS), (names, *columns)):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        """Names, column values, labels and notes: what equality compares."""
+        columns = (tuple(getattr(self, field).tolist()) for field in _COLUMN_FIELDS)
+        labels = (getattr(self, key) for key in _LABEL_KEYS)
+        return (self.names, *columns, *labels, self.notes)
+
+    def __eq__(self, other):
+        return isinstance(other, TypicalityTable) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.names)
 
     def column_sums(self) -> dict[str, float]:
         """Compensated sums of the three probability columns."""
         return {name: math.fsum(getattr(self, name).tolist()) for name in _COLUMN_FIELDS}
 
 
+def _read_line(line: str, line_number: int) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ParseError(f"unparseable CSV row: {exc}", line_number) from exc
+
+
+def _first_malformed(rows: list[list[str]]) -> tuple[int, str]:
+    """The first row without 4 fields or with a cell float() cannot read."""
+    for k, row in enumerate(rows):
+        if len(row) != 4:
+            return k, f"expected 4 fields, got {len(row)}"
+        for field, cell in zip(_COLUMN_FIELDS, row[1:]):
+            try:
+                float(cell)
+            except ValueError:
+                return k, f"non-numeric {field} value {cell.strip()!r}"
+    raise AssertionError("every row is well formed")
+
+
+def _table_from_rows(rows, numbers, labels, notes) -> TypicalityTable:
+    """The table of the CSV data rows, a problem reported at its line."""
+    records = ((k, *row) for k, row in enumerate(rows, start=1))
+    try:
+        return TypicalityTable(records, notes=notes, **labels)
+    except ValidationError as exc:
+        if exc.position is None:
+            raise
+        raise ParseError(str(exc), numbers[exc.position - 1]) from exc
+    except ValueError:  # a row without 4 fields or with a non-numeric cell
+        k, problem = _first_malformed(rows)
+    # rows above it go first; duplicates and labels only count once all are read
+    with contextlib.suppress(ValidationError):
+        _table_from_rows(rows[:k], numbers, labels, notes)
+    raise ParseError(problem, numbers[k])
+
+
 def parse_table(source: str | TextIO) -> TypicalityTable:
     """Parse CSV text (or a readable text stream) into a TypicalityTable.
 
-    Raises ParseError with the offending 1-based line number for malformed
-    rows and ValidationError for table-level problems (duplicate names, no
+    Raises ParseError with the 1-based line number of the first malformed
+    row, and ValidationError for table-level problems (duplicate names, no
     data rows).
     """
     text = source if isinstance(source, str) else source.read()
-    lines = text.splitlines()
-    if lines and lines[0].startswith("\ufeff"):
-        lines[0] = lines[0][1:]
+    lines = text.removeprefix("\ufeff").splitlines()
 
-    labels: dict[str, str] = {}
+    labels = {"label_a": "A", "label_b": "B", "combination_label": "A or B"}
     notes: list[str] = []
-    records: list[ExemplarRecord] = []
-    header_seen = False
-
+    data: list[str] = []  # the header, then one line per row
+    numbers: list[int] = []
     for line_number, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
-            key, sep, value = stripped[1:].partition(":")
-            if sep:
-                key = key.strip()
-                if key in _LABEL_KEYS:
-                    labels[key] = value.strip()
-                elif key == "note":
-                    notes.append(value.strip())
+            key, sep, value = (part.strip() for part in stripped[1:].partition(":"))
+            if sep and key in labels:
+                labels[key] = value
+            elif sep and key == "note":
+                notes.append(value)
             continue
-        try:
-            row = next(csv.reader([raw]))
-        except csv.Error as exc:
-            raise ParseError(f"unparseable CSV row: {exc}", line_number) from exc
-        if not header_seen:
-            if tuple(cell.strip() for cell in row) != CSV_HEADER:
-                raise ParseError(
-                    f"expected header {','.join(CSV_HEADER)!r}, got {stripped!r}",
-                    line_number,
-                )
-            header_seen = True
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line_number)
-        name = row[0]
-        values = []
-        for field, cell in zip(_COLUMN_FIELDS, row[1:]):
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise ParseError(
-                    f"non-numeric {field} value {cell.strip()!r}", line_number
-                ) from exc
-            values.append(value)
-        # the record range-checks each value and names the exemplar
-        try:
-            records.append(ExemplarRecord(len(records) + 1, name, *values))
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_number) from exc
+        data.append(raw)
+        numbers.append(line_number)
 
-    if not header_seen:
-        raise ParseError(f"missing header line {','.join(CSV_HEADER)!r}")
-    if not records:
+    header = ",".join(CSV_HEADER)
+    if not data:
+        raise ParseError(f"missing header line {header!r}")
+    if tuple(cell.strip() for cell in _read_line(data[0], numbers[0])) != CSV_HEADER:
+        raise ParseError(
+            f"expected header {header!r}, got {data[0].strip()!r}", numbers[0]
+        )
+    del data[0], numbers[0]
+    if not data:
         raise ValidationError("table has no exemplar rows")
-    return TypicalityTable(
-        records=tuple(records),
-        label_a=labels.get("label_a", "A"),
-        label_b=labels.get("label_b", "B"),
-        combination_label=labels.get("combination_label", "A or B"),
-        notes=tuple(notes),
-    )
+    try:
+        rows = list(csv.reader(data))
+    except csv.Error:
+        rows = []
+    if len(rows) != len(data):
+        # an open quote ran on into the next line, or a line is unreadable
+        rows = [_read_line(line, number) for line, number in zip(data, numbers)]
+    return _table_from_rows(rows, numbers, labels, notes)
 
 
 def validate_and_normalize(
@@ -223,26 +261,19 @@ def validate_and_normalize(
     if table.n < 2:
         raise ValidationError(f"need at least 2 exemplars, got {table.n}")
 
-    scales: dict[str, float | None] = {}
-    for field, total in table.column_sums().items():
+    sums = table.column_sums()
+    for field, total in sums.items():
         if total <= 0.0 or abs(total - 1.0) > tolerance:
             raise ValidationError(
                 f"column {field} sums to {total!r}, outside tolerance "
                 f"{tolerance} of 1"
             )
-        scales[field] = None if abs(total - 1.0) <= _EXACT_SUM_SLACK else total
-
-    if any(scale is not None for scale in scales.values()):
-
-        def rescaled(record: ExemplarRecord) -> ExemplarRecord:
-            updates = {
-                field: getattr(record, field) / scale
-                for field, scale in scales.items()
-                if scale is not None
-            }
-            return replace(record, **updates)
-
-        table = replace(table, records=tuple(rescaled(r) for r in table.records))
+    # dividing by 1.0 leaves a column's values as they are, bit for bit
+    scales = [1.0 if abs(s - 1.0) <= _EXACT_SUM_SLACK else s for s in sums.values()]
+    if scales != [1.0] * 3:
+        columns = [(getattr(table, f) / s).tolist() for f, s in zip(sums, scales)]
+        rows = zip(range(1, table.n + 1), table.names, *columns)
+        table = replace(table, records=rows)
 
     zero = np.flatnonzero(table.mu_a * table.mu_b == 0.0)
     if zero.size:

@@ -18,7 +18,12 @@ class ParseError(ConceptInterferenceError, ValueError):
 
 
 class ValidationError(ConceptInterferenceError, ValueError):
-    """Input violates a data contract (sums, ranges, duplicates, shapes)."""
+    """Input violates a data contract (sums, ranges, duplicates, shapes).
+    ``position`` is the 1-based table row of a one-row problem, else None."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 class DegeneracyError(ValidationError):

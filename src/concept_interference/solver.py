@@ -53,8 +53,8 @@ from .errors import (
     ValidationError,
 )
 
-# Deviations within this of zero count as classical (no interference).
-CLASSICAL_DEVIATION_TOLERANCE = 1e-12
+# A row whose phase cosine cos phi_k is within this of zero is classical.
+CLASSICAL_TOLERANCE = 1e-12
 
 # A magnitude radicand within k * eps * s of 0, either side, reads as 0: the
 # row sits at a phase of exactly 0 or 180 degrees.  The deviation carries the
@@ -80,7 +80,7 @@ class Classification(enum.Enum):
     CLASSICAL = "Classical"
 
 
-# Indexed by the deviation's sign: 0, +1, and -1 (the last entry).
+# Indexed by the sign of cos phi: 0, +1, and -1 (the last entry).
 _LABEL_BY_SIGN = np.array(
     [Classification.CLASSICAL, Classification.STRENGTHENING, Classification.WEAKENING],
     dtype=object,
@@ -423,12 +423,12 @@ def classify_exemplars(
 ) -> list[tuple[int, Classification]]:
     """Per-exemplar interference effect, keyed by 1-based index.
 
-    Weakening for deviation < 0, Strengthening for deviation > 0, Classical
-    within 1e-12 of zero; equivalent (for k != m) to comparing |phi_k|
-    against 90 degrees.
+    Classical when |cos phi_k| <= 1e-12, i.e. |d_k| <= 1e-12 c_k sqrt(mu_a_k
+    mu_b_k), at any scale of the marginals and at k = m too; otherwise
+    Weakening for cos phi_k < 0 (deviation < 0), else Strengthening.
     """
-    deviations, tolerance = solution.deviations, CLASSICAL_DEVIATION_TOLERANCE
-    sign = (deviations > tolerance).astype(np.intp) - (deviations < -tolerance)
+    cos_phi, tolerance = np.cos(np.radians(solution.phi_deg)), CLASSICAL_TOLERANCE
+    sign = (cos_phi > tolerance).astype(np.intp) - (cos_phi < -tolerance)
     return list(enumerate(_LABEL_BY_SIGN[sign].tolist(), start=1))
 
 

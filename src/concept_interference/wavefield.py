@@ -144,6 +144,10 @@ class ConstantPhaseField:
 
     value_deg: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value_deg):
+            raise ValidationError(f"phase constant {self.value_deg!r} is not finite")
+
     def evaluate(self, x, y) -> np.ndarray:
         return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.value_deg)
 
@@ -367,11 +371,14 @@ def render_grids(
     Returns a_only (field A), b_only (field B), classical ((A+B)/2) and
     interference (classical + sqrt(A*B) cos phase).  a_only + b_only equals
     2*classical exactly, pixelwise; with a constant 90-degree phase the
-    interference grid equals the classical grid bit-for-bit.
+    interference grid equals the classical grid bit-for-bit.  The window's
+    bounds and its width and height must be finite.
     """
     x_min, x_max, y_min, y_max = (float(v) for v in window)
     if not (x_min < x_max and y_min < y_max):
         raise ValidationError(f"degenerate window {window!r}")
+    if not all(map(math.isfinite, (x_min, y_min, x_max - x_min, y_max - y_min))):
+        raise ValidationError(f"window {window!r} is not finite")
     width, height = int(resolution[0]), int(resolution[1])
     if width < 2 or height < 2:
         raise ValidationError(f"resolution must be at least 2x2, got {resolution!r}")

@@ -108,13 +108,16 @@ def test_criterion_4_phi_regression(reference_table, reference_solution):
         # k = m is excluded from the angle regression (the published value
         # is not reproduced by the phase formula; see the erratum notes);
         # the model's defining identity is asserted there instead
-        record = reference_table.records[REF_M - 1]
-        reconstructed = 0.5 * (record.mu_a + record.mu_b) + (
+        a, b, ab = (
+            float(column[REF_M - 1])
+            for column in (reference_table.mu_a, reference_table.mu_b, reference_table.mu_ab)
+        )
+        reconstructed = 0.5 * (a + b) + (
             reference_solution.c_m
-            * math.sqrt(record.mu_a * record.mu_b)
+            * math.sqrt(a * b)
             * math.cos(math.radians(reference_solution.phi_deg[REF_M - 1]))
         )
-        assert abs(reconstructed - record.mu_ab) <= 1e-12
+        assert abs(reconstructed - ab) <= 1e-12
 
 
 def test_criterion_5_vector_regression(reference_table, reference_solution):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -453,6 +454,27 @@ class TestRenderCommand:
         )
         assert status == 1
         assert "resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--window=-inf,1,0,1"], "is not finite"),
+            (["--window=-1e308,1e308,0,1"], "is not finite"),  # width overflows
+            (["--phase-constant", "nan"], "phase constant nan is not finite"),
+            (["--phase-constant", "inf"], "phase constant inf is not finite"),
+        ],
+        ids=["infinite-bound", "overflowing-width", "nan-phase", "inf-phase"],
+    )
+    def test_non_finite_input_exits_1(
+        self, dataset_path, tmp_path, capsys, flags, message
+    ):
+        out_dir = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["render", str(dataset_path), "-o", str(out_dir), *flags])
+        assert status == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_custom_window_and_centers(self, dataset_path, tmp_path):
         out_dir = tmp_path / "custom"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from concept_interference import (
     DegeneracyError,
+    ExemplarRecord,
     ParseError,
     TypicalityTable,
     ValidationError,
@@ -30,26 +31,27 @@ def _render_csv(table):
         buffer.write(f"# note: {note}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("exemplar", "mu_a", "mu_b", "mu_ab"))
-    for r in table.records:
-        writer.writerow([r.name, repr(r.mu_a), repr(r.mu_b), repr(r.mu_ab)])
+    columns = (table.mu_a.tolist(), table.mu_b.tolist(), table.mu_ab.tolist())
+    for name, *values in zip(table.names, *columns):
+        writer.writerow([name, *map(repr, values)])
     return buffer.getvalue()
 
 
 class TestParse:
     def test_bundled_dataset(self, raw_table):
         assert raw_table.n == 24
-        first = raw_table.records[0]
-        assert (first.index, first.name) == (1, "Almond")
-        assert (first.mu_a, first.mu_b, first.mu_ab) == (0.0359, 0.0133, 0.0269)
+        assert raw_table.names[0] == "Almond"
+        first = (raw_table.mu_a[0], raw_table.mu_b[0], raw_table.mu_ab[0])
+        assert first == (0.0359, 0.0133, 0.0269)
         assert raw_table.label_a == "Fruits"
         assert raw_table.label_b == "Vegetables"
         assert raw_table.combination_label == "Fruits or Vegetables"
         assert any("Watercress" in note for note in raw_table.notes)
 
     def test_bundled_dataset_matches_reference_rows(self, raw_table):
-        for record, (index, name, a, b, ab) in zip(raw_table.records, RAW_ROWS):
-            assert (record.index, record.name) == (index, name)
-            assert (record.mu_a, record.mu_b, record.mu_ab) == (a, b, ab)
+        columns = (raw_table.mu_a, raw_table.mu_b, raw_table.mu_ab)
+        rows = zip(range(1, raw_table.n + 1), raw_table.names, *columns)
+        assert [tuple(row) for row in rows] == list(RAW_ROWS)
 
     def test_single_record_parses_then_fails_validation(self):
         table = parse_table("exemplar,mu_a,mu_b,mu_ab\nX,1.0,1.0,1.0\n")
@@ -76,6 +78,40 @@ class TestParse:
             parse_table("exemplar,mu_a,mu_b,mu_ab\nA,-0.1,0.2,0.3\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_table("exemplar,mu_a,mu_b,mu_ab\nA,nan,0.2,0.3\n")
+
+    @pytest.mark.parametrize("position", [2, 3])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("Kiwi,0.25,1.5,0.25", "exemplar {k} (Kiwi): mu_b=1.5 is not a probability in [0, 1]"),
+            ("Kiwi,0.25,abc,0.25", "non-numeric mu_b value 'abc'"),
+            (" Kiwi,0.25,0.5,0.25", "exemplar name ' Kiwi' has leading or trailing whitespace"),
+            ("Kiwi,0.25,0.5", "expected 4 fields, got 3"),
+        ],
+        ids=["out-of-range", "non-numeric", "bad-name", "field-count"],
+    )
+    def test_row_errors_name_their_line(self, row, message, position):
+        # comment and blank lines between the rows; a later bad row too,
+        # which must not be the one reported
+        rows = ["Apple,0.5,0.25,0.25", "Pear,0.25,0.5,0.25"]
+        rows.insert(position - 1, row)
+        text = (
+            "# label_a: Fruits\nexemplar,mu_a,mu_b,mu_ab\n\n"
+            f"{rows[0]}\n# between rows\n\n{rows[1]}\n# note: x\n{rows[2]}\n"
+            "Fig,2.0,0.5,0.25\n"
+        )
+        line = {1: 4, 2: 7, 3: 9}[position]
+        with pytest.raises(ParseError) as excinfo:
+            parse_table(text)
+        assert str(excinfo.value) == f"line {line}: " + message.format(k=position)
+        assert excinfo.value.line_number == line
+
+    def test_duplicate_name_after_comments_keeps_its_text(self):
+        text = "exemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\n# c\n\nB,0.5,0.5,0.5\nA,0.5,0.5,0.5\n"
+        with pytest.raises(ValidationError) as excinfo:
+            parse_table(text)
+        assert type(excinfo.value) is ValidationError
+        assert str(excinfo.value) == "duplicate exemplar name 'A'"
 
     def test_duplicate_name_rejected(self):
         text = "exemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\nA,0.5,0.5,0.5\n"
@@ -153,8 +189,6 @@ class TestValidateNormalize:
 
 class TestTableInvariants:
     def test_indices_must_be_contiguous(self):
-        from concept_interference import ExemplarRecord
-
         records = (
             ExemplarRecord(1, "A", 0.5, 0.5, 0.5),
             ExemplarRecord(3, "B", 0.5, 0.5, 0.5),
@@ -167,18 +201,22 @@ class TestTableInvariants:
         with pytest.raises(ValidationError):
             make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], names=[bad, "ok"])
 
-    def test_columns_and_names_match_records(self, raw_table):
-        records = raw_table.records
-        assert raw_table.names == tuple(r.name for r in records)
+    def test_columns_and_names_match_records(self):
+        records = [ExemplarRecord(*row) for row in RAW_ROWS]
+        table = TypicalityTable(records=iter(records))
+        assert table.names == tuple(r.name for r in records)
         for field in ("mu_a", "mu_b", "mu_ab"):
-            column = getattr(raw_table, field)
+            column = getattr(table, field)
             assert column.dtype == np.float64
             assert column.tolist() == [getattr(r, field) for r in records]
+        # plain tuples build the same table, and the rows are not kept
+        assert TypicalityTable(records=RAW_ROWS) == table
+        assert not hasattr(table, "records")
 
     def test_columns_are_read_only(self, raw_table):
         with pytest.raises(ValueError):
             raw_table.mu_a[0] = 0.5
-        assert raw_table.mu_a[0] == raw_table.records[0].mu_a
+        assert raw_table.mu_a[0] == RAW_ROWS[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +279,18 @@ def test_normalization_idempotent(table):
 @settings(max_examples=80)
 def test_scale_invariance(table, factor):
     scaled = make_table(
-        [r.mu_a * factor for r in table.records],
-        [r.mu_b * factor for r in table.records],
-        [r.mu_ab * factor for r in table.records],
+        [v * factor for v in table.mu_a.tolist()],
+        [v * factor for v in table.mu_b.tolist()],
+        [v * factor for v in table.mu_ab.tolist()],
     )
     reference = validate_and_normalize(table, tolerance=0.25)
     rescaled = validate_and_normalize(scaled, tolerance=0.25)
-    for a, b in zip(reference.records, rescaled.records):
+    for field in ("mu_a", "mu_b", "mu_ab"):
         # bit-exact agreement is not achievable for arbitrary scale factors
         # in binary floating point; a few ulp is.
-        assert a.mu_a == pytest.approx(b.mu_a, rel=1e-14)
-        assert a.mu_b == pytest.approx(b.mu_b, rel=1e-14)
-        assert a.mu_ab == pytest.approx(b.mu_ab, rel=1e-14)
+        np.testing.assert_allclose(
+            getattr(reference, field), getattr(rescaled, field), rtol=1e-14, atol=0
+        )
 
 
 def test_scale_invariance_power_of_two_exact():
@@ -264,5 +302,4 @@ def test_scale_invariance_power_of_two_exact():
         [v * 0.5 for v in mu_a], [v * 0.5 for v in mu_b], [v * 0.5 for v in mu_ab]
     )
     rescaled = validate_and_normalize(halved, tolerance=0.6)
-    for a, b in zip(reference.records, rescaled.records):
-        assert (a.mu_a, a.mu_b, a.mu_ab) == (b.mu_a, b.mu_b, b.mu_ab)
+    assert rescaled == reference

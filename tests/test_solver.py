@@ -365,6 +365,17 @@ class TestClassification:
         assert names[int(np.argmin(cos_phi))] == MOST_WEAKENING
         assert names[int(np.argmax(cos_phi))] == MOST_STRENGTHENING
 
+    def test_tiny_marginal_row_follows_its_phase(self):
+        # row 1's deviation, 8e-13, is tiny in absolute terms, but it is 0.4
+        # of the row's geometric mean: a phase of 66.42 degrees, not 90
+        mu_a, mu_b = [1e-23, 0.5, 0.5], [0.4, 0.3, 0.3]
+        d = 0.4 * math.sqrt(mu_a[0] * mu_b[0])
+        mu_ab = [0.5 * (mu_a[0] + mu_b[0]) + d, 0.45, 0.35 - d]
+        solution = solve(make_table(mu_a, mu_b, mu_ab))
+        assert solution.phi_deg[0] == pytest.approx(66.42, abs=0.01)
+        labels = dict(classify_exemplars(solution))
+        assert labels[1] is Classification.STRENGTHENING
+
     def test_zero_deviation_is_classical(self):
         table = make_table([0.5, 0.5], [0.3, 0.7], [0.4, 0.6])
         solution = solve(table)
@@ -407,13 +418,16 @@ class TestSolvePipeline:
         # (see the erratum notes); the reconstruction identity is what the
         # construction guarantees there
         m = reference_solution.m
-        record = reference_table.records[m - 1]
-        reconstructed = 0.5 * (record.mu_a + record.mu_b) + (
+        a, b, ab = (
+            float(column[m - 1])
+            for column in (reference_table.mu_a, reference_table.mu_b, reference_table.mu_ab)
+        )
+        reconstructed = 0.5 * (a + b) + (
             reference_solution.c_m
-            * math.sqrt(record.mu_a * record.mu_b)
+            * math.sqrt(a * b)
             * math.cos(math.radians(reference_solution.phi_deg[m - 1]))
         )
-        assert abs(reconstructed - record.mu_ab) <= 1e-12
+        assert abs(reconstructed - ab) <= 1e-12
 
     def test_infeasible_table_raises_with_report(self):
         table = make_table(
@@ -523,19 +537,17 @@ def test_phases_match_the_arccos_reference(table):
 @settings(max_examples=60, deadline=None)
 def test_classification_consistent_with_phase(table):
     solution = solve_feasible(table)
-    for (k, label), phi in zip(classify_exemplars(solution), solution.phi_deg):
-        if k == solution.m:
-            continue
+    # the label is the sign of cos phi_k outside 1e-12 of zero, at m too,
+    # and that sign is the deviation's
+    labels = classify_exemplars(solution)
+    for (k, label), phi, d in zip(labels, solution.phi_deg, solution.deviations):
+        cosine = math.cos(math.radians(phi))
         if label is Classification.WEAKENING:
-            assert abs(phi) > 90.0
+            assert cosine < -1e-12 and abs(phi) > 90.0 and d < 0.0
         elif label is Classification.STRENGTHENING:
-            assert abs(phi) < 90.0
+            assert cosine > 1e-12 and abs(phi) < 90.0 and d > 0.0
         else:
-            # |d_k| <= 1e-12 and d_k = sqrt(mu_a_k mu_b_k) cos(phi_k), so phi_k
-            # is off 90 degrees by up to 1e-12 / sqrt(mu_a_k mu_b_k) radians,
-            # which a marginal near 1e-12 makes larger than 1e-6 degrees
-            geometric = math.sqrt(table.mu_a[k - 1] * table.mu_b[k - 1])
-            assert abs(geometric * math.cos(math.radians(phi))) <= 1e-12 + 1e-15
+            assert abs(cosine) <= 1e-12
 
 
 @given(feasible_tables(min_n=3, max_n=7), st.randoms(use_true_random=False))

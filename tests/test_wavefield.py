@@ -443,8 +443,9 @@ class TestRenderGrids:
             intensity = 0.5 * (value_a + value_b) + math.sqrt(
                 value_a * value_b
             ) * math.cos(math.radians(phi))
-            record = reference_table.records[i]
-            assert intensity == pytest.approx(scale * record.mu_ab, rel=1e-9)
+            assert intensity == pytest.approx(
+                scale * reference_table.mu_ab[i], rel=1e-9
+            )
 
     def test_exemplar_pixels_reconstruct_combination(
         self, reference_table, reference_fields, reference_placements
@@ -477,8 +478,9 @@ class TestRenderGrids:
             column = min(column, grid.width - 1)
             row = min(row, grid.height - 1)
             ratio = grid.values[row, column] / classical.values[row, column]
-            record = reference_table.records[i]
-            expected = record.mu_ab / (0.5 * (record.mu_a + record.mu_b))
+            expected = reference_table.mu_ab[i] / (
+                0.5 * (reference_table.mu_a[i] + reference_table.mu_b[i])
+            )
             assert ratio == pytest.approx(expected, rel=0.02)
             checked += 1
         assert checked >= 15
