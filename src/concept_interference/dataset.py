@@ -103,8 +103,9 @@ class TypicalityTable:
         # values in that order; then contiguity and duplicates, by row.
         contiguous = indices == tuple(range(1, n + 1))
         outside = ~((columns >= 0.0) & (columns <= 1.0))  # NaN is outside too
-        bad_names = [_text_problem("exemplar name", s) is not None for s in names]
-        faulty = outside.any(axis=0) | np.array(bad_names, bool)
+        name_problems = [_text_problem("exemplar name", s) for s in names]
+        bad_names = np.array([p is not None for p in name_problems], bool)
+        faulty = outside.any(axis=0) | bad_names
         if not contiguous:
             faulty |= np.array([i < 1 for i in indices], bool)
         if faulty.any():
@@ -113,7 +114,7 @@ class TypicalityTable:
             if indices[k] < 1:
                 problem = f"exemplar index must be >= 1, got {indices[k]}"
             else:
-                problem = _text_problem("exemplar name", names[k]) or (
+                problem = name_problems[k] or (
                     f"exemplar {indices[k]} ({names[k]}): {_COLUMN_FIELDS[f]}="
                     f"{columns[f, k].item()!r} is not a probability in [0, 1]"
                 )
@@ -166,34 +167,31 @@ def _read_line(line: str, line_number: int) -> list[str]:
         raise ParseError(f"unparseable CSV row: {exc}", line_number) from exc
 
 
-def _first_malformed(rows: list[list[str]]) -> tuple[int, str]:
-    """The first row without 4 fields or with a cell float() cannot read."""
-    for k, row in enumerate(rows):
-        if len(row) != 4:
-            return k, f"expected 4 fields, got {len(row)}"
-        for field, cell in zip(_COLUMN_FIELDS, row[1:]):
-            try:
-                float(cell)
-            except ValueError:
-                return k, f"non-numeric {field} value {cell.strip()!r}"
-    raise AssertionError("every row is well formed")
+def _read_row(line: str, line_number: int) -> tuple[str, float, float, float]:
+    """The name and the three values of one CSV data line."""
+    row = _read_line(line, line_number)
+    if len(row) != 4:
+        raise ParseError(f"expected 4 fields, got {len(row)}", line_number)
+    values = []
+    for field, cell in zip(_COLUMN_FIELDS, row[1:]):
+        try:
+            values.append(float(cell))
+        except ValueError as exc:
+            raise ParseError(
+                f"non-numeric {field} value {cell.strip()!r}", line_number
+            ) from exc
+    return (row[0], *values)
 
 
-def _table_from_rows(rows, numbers, labels, notes) -> TypicalityTable:
-    """The table of the CSV data rows, a problem reported at its line."""
+def _table_at_lines(rows, line_numbers, **metadata) -> TypicalityTable:
+    """The table of the CSV data rows, a row problem reported at its line."""
     records = ((k, *row) for k, row in enumerate(rows, start=1))
     try:
-        return TypicalityTable(records, notes=notes, **labels)
+        return TypicalityTable(records, **metadata)
     except ValidationError as exc:
         if exc.position is None:
             raise
-        raise ParseError(str(exc), numbers[exc.position - 1]) from exc
-    except ValueError:  # a row without 4 fields or with a non-numeric cell
-        k, problem = _first_malformed(rows)
-    # rows above it go first; duplicates and labels only count once all are read
-    with contextlib.suppress(ValidationError):
-        _table_from_rows(rows[:k], numbers, labels, notes)
-    raise ParseError(problem, numbers[k])
+        raise ParseError(str(exc), line_numbers[exc.position - 1]) from exc
 
 
 def parse_table(source: str | TextIO) -> TypicalityTable:
@@ -234,14 +232,16 @@ def parse_table(source: str | TextIO) -> TypicalityTable:
     del data[0], numbers[0]
     if not data:
         raise ValidationError("table has no exemplar rows")
-    try:
-        rows = list(csv.reader(data))
-    except csv.Error:
-        rows = []
-    if len(rows) != len(data):
-        # an open quote ran on into the next line, or a line is unreadable
-        rows = [_read_line(line, number) for line, number in zip(data, numbers)]
-    return _table_from_rows(rows, numbers, labels, notes)
+    rows = []
+    for line, line_number in zip(data, numbers):
+        try:
+            rows.append(_read_row(line, line_number))
+        except ParseError:
+            # a bad row above goes first; duplicate names count once all are read
+            with contextlib.suppress(ValidationError):
+                _table_at_lines(rows, numbers)
+            raise
+    return _table_at_lines(rows, numbers, notes=notes, **labels)
 
 
 def validate_and_normalize(

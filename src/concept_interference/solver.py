@@ -56,6 +56,12 @@ from .errors import (
 # A row whose phase cosine cos phi_k is within this of zero is classical.
 CLASSICAL_TOLERANCE = 1e-12
 
+# A deviation within k * eps * a of 0, a = (mu_a + mu_b) / 2, is rounding of
+# the classical average and reads as 0, a phase of exactly 90 degrees: a row
+# entered as exactly classical lands within 1.5 eps * a of 0 whatever its
+# marginals, which can put its cos phi far past CLASSICAL_TOLERANCE.  k = 4.
+_DEVIATION_SLACK = 4 * float(np.finfo(np.float64).eps)
+
 # A magnitude radicand within k * eps * s of 0, either side, reads as 0: the
 # row sits at a phase of exactly 0 or 180 degrees.  The deviation carries the
 # rounding of the classical average, so s = sqrt(mu_a * mu_b) * (mu_a + mu_b)
@@ -168,8 +174,12 @@ class InterferenceSolution:
 
 
 def compute_deviations(table: TypicalityTable) -> np.ndarray:
-    """Per-exemplar gap between mu_ab and the classical average."""
-    return table.mu_ab - 0.5 * (table.mu_a + table.mu_b)
+    """Per-exemplar gap between mu_ab and the classical average, 0 within
+    rounding of that average."""
+    average = 0.5 * (table.mu_a + table.mu_b)
+    deviations = table.mu_ab - average
+    deviations[np.abs(deviations) <= _DEVIATION_SLACK * average] = 0.0
+    return deviations
 
 
 def compute_lambda_magnitudes(
@@ -425,7 +435,9 @@ def classify_exemplars(
 
     Classical when |cos phi_k| <= 1e-12, i.e. |d_k| <= 1e-12 c_k sqrt(mu_a_k
     mu_b_k), at any scale of the marginals and at k = m too; otherwise
-    Weakening for cos phi_k < 0 (deviation < 0), else Strengthening.
+    Weakening for cos phi_k < 0 (deviation < 0), else Strengthening.  A
+    deviation within rounding of the classical average is 0 (see
+    compute_deviations), so such a row is Classical.
     """
     cos_phi, tolerance = np.cos(np.radians(solution.phi_deg)), CLASSICAL_TOLERANCE
     sign = (cos_phi > tolerance).astype(np.intp) - (cos_phi < -tolerance)

@@ -90,15 +90,21 @@ class TestParse:
         ],
         ids=["out-of-range", "non-numeric", "bad-name", "field-count"],
     )
-    def test_row_errors_name_their_line(self, row, message, position):
+    @pytest.mark.parametrize(
+        "later_row",
+        ["Fig,2.0,0.5,0.25", "Fig,0.5,x,0.25", "x" * 140_000 + ",0.5,0.5,0.25"],
+        ids=["later-out-of-range", "later-non-numeric", "later-unreadable"],
+    )
+    def test_row_errors_name_their_line(self, row, message, position, later_row):
         # comment and blank lines between the rows; a later bad row too,
-        # which must not be the one reported
+        # which must not be the one reported (the last one is a field over
+        # the csv module's 131,072-character limit)
         rows = ["Apple,0.5,0.25,0.25", "Pear,0.25,0.5,0.25"]
         rows.insert(position - 1, row)
         text = (
             "# label_a: Fruits\nexemplar,mu_a,mu_b,mu_ab\n\n"
             f"{rows[0]}\n# between rows\n\n{rows[1]}\n# note: x\n{rows[2]}\n"
-            "Fig,2.0,0.5,0.25\n"
+            f"{later_row}\n"
         )
         line = {1: 4, 2: 7, 3: 9}[position]
         with pytest.raises(ParseError) as excinfo:
@@ -112,6 +118,12 @@ class TestParse:
             parse_table(text)
         assert type(excinfo.value) is ValidationError
         assert str(excinfo.value) == "duplicate exemplar name 'A'"
+
+    def test_malformed_line_wins_over_an_earlier_duplicate_name(self):
+        text = "exemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\nA,0.5,0.5,0.5\nB,0.5,0.5\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_table(text)
+        assert str(excinfo.value) == "line 4: expected 4 fields, got 3"
 
     def test_duplicate_name_rejected(self):
         text = "exemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\nA,0.5,0.5,0.5\n"

@@ -376,6 +376,20 @@ class TestClassification:
         labels = dict(classify_exemplars(solution))
         assert labels[1] is Classification.STRENGTHENING
 
+    def test_exactly_classical_row_with_unbalanced_marginals(self):
+        # 0.08500000005 is the decimal average of 1e-10 and 0.17; as doubles
+        # the row's deviation is -1.4e-17, rounding of the average, which is
+        # -3.4e-12 of its geometric mean of 4.1e-6: it must read as 0
+        mu_a, mu_b = [1e-10, 0.5, 0.5 - 1e-10], [0.17, 0.415, 1 - 0.17 - 0.415]
+        mu_ab = [0.08500000005, 0.5075]
+        mu_ab.append(1 - mu_ab[0] - mu_ab[1])
+        table = make_table(mu_a, mu_b, mu_ab)
+        assert validate_and_normalize(table) == table
+        solution = solve(table)
+        assert solution.deviations[0] == 0.0
+        assert solution.phi_deg[0] == 90.0
+        assert dict(classify_exemplars(solution))[1] is Classification.CLASSICAL
+
     def test_zero_deviation_is_classical(self):
         table = make_table([0.5, 0.5], [0.3, 0.7], [0.4, 0.6])
         solution = solve(table)
