@@ -35,9 +35,9 @@ print(f"field A: center {field_a.center}, sigma {field_a.sigma:.3f}")
 print(f"field B: center {field_b.center}, sigma {field_b.sigma:.3f}")
 
 placements = place_exemplars(table, field_a, field_b)
-imperfect = [p for p in placements.placements if p.residual > 0]
-print(f"placements: {len(placements.placements)} exemplars, "
-      f"{len(imperfect)} off their exact level curves")
+fallbacks = int((placements.residual > 0).sum())
+print(f"placements: {len(placements.names)} exemplars, "
+      f"{fallbacks} off their exact level curves")
 
 phase = interpolate_phase(placements, solution.phi_deg)
 window = default_window(placements, field_a, field_b)
@@ -63,8 +63,7 @@ else:
     for ax, name in zip(axes.flat, titles):
         ax.imshow(grids[name].values, extent=extent, cmap="inferno")
         ax.set_title(name)
-        locations = placements.locations()
-        ax.scatter(locations[:, 0], locations[:, 1], s=6, c="cyan")
+        ax.scatter(placements.x, placements.y, s=6, c="cyan")
     fig.tight_layout()
     fig.savefig(out_dir / "overview.png", dpi=110)
     print(f"wrote {out_dir / 'overview.png'}")

@@ -317,12 +317,10 @@ def _run_render(args) -> int:
     _, table, solution, error = _load_and_solve(args)
     if error is not None:
         return _infeasible(error)
+    centers = (*DEFAULT_CENTER_A, *DEFAULT_CENTER_B)
     if args.centers is not None:
-        x1, y1, x2, y2 = _parse_floats(args.centers, 4, "--centers")
-        center_a, center_b = (x1, y1), (x2, y2)
-    else:
-        center_a, center_b = DEFAULT_CENTER_A, DEFAULT_CENTER_B
-    field_a, field_b = fit_gaussian_fields(table, center_a, center_b)
+        centers = _parse_floats(args.centers, 4, "--centers")
+    field_a, field_b = fit_gaussian_fields(table, centers[:2], centers[2:])
     placements = place_exemplars(table, field_a, field_b)
     if args.phase_constant is not None:
         phase = ConstantPhaseField(args.phase_constant)
@@ -380,9 +378,14 @@ def _run_classify(args) -> int:
 def _table_from_report(data: dict) -> TypicalityTable:
     dataset = data["dataset"]
     row = operator.itemgetter("index", "name", "mu_a", "mu_b", "mu_ab")
+    rows = list(map(row, data["exemplars"]))
+    # a JSON number loads as an int or a float; a bool or a string is not one
+    for k, (index, _, *mu) in enumerate(rows, start=1):
+        if type(index) is not int or not {*map(type, mu)} <= {int, float}:
+            raise TypeError(f"exemplar row {k} holds a value of the wrong JSON type")
     labels = {key: dataset[key] for key in ("label_a", "label_b", "combination_label")}
     notes = dataset.get("notes", ())
-    return TypicalityTable(map(row, data["exemplars"]), notes=notes, **labels)
+    return TypicalityTable(rows, notes=notes, **labels)
 
 
 def _run_verify(args) -> int:
@@ -403,7 +406,9 @@ def _run_verify(args) -> int:
         stored = {
             key: float(data["residuals"][key]) for key in _RESIDUAL_THRESHOLD_KEYS
         }
-        layout = ProjectorLayout(table.n, int(data["m"]))
+        if type(m := data["m"]) is not int:
+            raise TypeError(f"m = {m!r} is not a JSON integer")
+        layout = ProjectorLayout(table.n, m)
         recomputed = measure_residuals(vector_a, vector_b, table, layout)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"malformed report: {exc!r}")
@@ -436,31 +441,32 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve_p = sub.add_parser(
-        "solve", help="fit the model and write a JSON solve report"
-    )
-    solve_p.add_argument("input", help="typicality table CSV")
-    solve_p.add_argument(
-        "-o", "--output", default=None, help="report path (default: stdout)"
-    )
-    solve_p.add_argument(
+    table_args = argparse.ArgumentParser(add_help=False)
+    table_args.add_argument("input", help="typicality table CSV")
+    table_args.add_argument(
         "--tolerance",
         type=float,
         default=DEFAULT_SUM_TOLERANCE,
         help="column-sum tolerance for normalization (default %(default)s)",
     )
+
+    solve_p = sub.add_parser(
+        "solve",
+        parents=[table_args],
+        help="fit the model and write a JSON solve report",
+    )
+    solve_p.add_argument(
+        "-o", "--output", default=None, help="report path (default: stdout)"
+    )
     solve_p.set_defaults(func=_run_solve)
 
     render_p = sub.add_parser(
-        "render", help="render the interference landscapes as CSV + PGM grids"
+        "render",
+        parents=[table_args],
+        help="render the interference landscapes as CSV + PGM grids",
     )
-    render_p.add_argument("input", help="typicality table CSV")
     render_p.add_argument(
         "-o", "--output", default="landscapes", help="output directory"
-    )
-    render_p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_SUM_TOLERANCE
     )
     render_p.add_argument(
         "--centers",
@@ -494,11 +500,7 @@ def _build_parser() -> _Parser:
     render_p.set_defaults(func=_run_render)
 
     classify_p = sub.add_parser(
-        "classify", help="list weakening/strengthening exemplars"
-    )
-    classify_p.add_argument("input", help="typicality table CSV")
-    classify_p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_SUM_TOLERANCE
+        "classify", parents=[table_args], help="list weakening/strengthening exemplars"
     )
     classify_p.set_defaults(func=_run_classify)
 

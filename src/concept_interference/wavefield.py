@@ -20,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,15 +52,25 @@ class GaussianField:
         dy = np.asarray(y, dtype=float) - self.center[1]
         return self.peak * np.exp(-(dx * dx + dy * dy) / (2.0 * self.sigma**2))
 
-    def level_radius(self, fraction: float) -> float:
-        """Radius where intensity falls to ``fraction`` of the peak."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValidationError(f"fraction must be in (0, 1], got {fraction!r}")
-        return self.sigma * math.sqrt(2.0 * math.log(1.0 / fraction))
+    def level_radius(self, fractions) -> np.ndarray:
+        """Radii where intensity falls to each of ``fractions`` of the peak."""
+        fractions = np.asarray(fractions, dtype=float)
+        if not ((fractions > 0.0) & (fractions <= 1.0)).all():
+            raise ValidationError(f"fractions must be in (0, 1], got {fractions!r}")
+        # scalar libm log: np.log differs from it in the last ulp on some inputs
+        logs = [*map(math.log, (1.0 / fractions).ravel().tolist())]
+        return self.sigma * np.sqrt(2.0 * np.reshape(logs, fractions.shape))
 
 
-@dataclass(frozen=True)
-class Placement:
+def _squares(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value, which is libm ``pow``: ``v * v`` differs
+    from it in the last ulp on some inputs."""
+    return np.array([v**2 for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+class Placement(NamedTuple):
+    """One row of ``PlacementMap.placements``."""
+
     index: int
     name: str
     x: float
@@ -67,12 +78,30 @@ class Placement:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementMap:
-    placements: tuple[Placement, ...]
+    """Exemplar names beside read-only float64 columns x, y and residual."""
+
+    names: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
+    residual: np.ndarray
+
+    def __post_init__(self):
+        for field in ("x", "y", "residual"):
+            column = np.array(getattr(self, field), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, field, column)
+
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        """The columns zipped into ``(index, name, x, y, residual)`` rows."""
+        columns = (self.x.tolist(), self.y.tolist(), self.residual.tolist())
+        rows = zip(range(1, len(self.names) + 1), self.names, *columns)
+        return tuple(map(Placement._make, rows))
 
     def locations(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.placements])
+        return np.column_stack((self.x, self.y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,64 +258,7 @@ def fit_gaussian_fields(
     return field_a, field_b
 
 
-def circle_intersections(
-    center_a: tuple[float, float],
-    radius_a: float,
-    center_b: tuple[float, float],
-    radius_b: float,
-) -> tuple[tuple[float, float], tuple[float, float]] | None:
-    """Both intersection points of two circles, or None when they miss.
-
-    The first returned point lies to the left of the directed line from
-    center_a to center_b, the second to the right (they coincide at
-    tangency).
-    """
-    ax, ay = center_a
-    bx, by = center_b
-    d = math.hypot(bx - ax, by - ay)
-    if d == 0.0:
-        return None
-    if d > radius_a + radius_b or d < abs(radius_a - radius_b):
-        return None
-    along = (radius_a**2 - radius_b**2 + d * d) / (2.0 * d)
-    offset = math.sqrt(max(radius_a**2 - along * along, 0.0))
-    ux, uy = (bx - ax) / d, (by - ay) / d
-    base_x, base_y = ax + along * ux, ay + along * uy
-    left = (base_x - offset * uy, base_y + offset * ux)
-    right = (base_x + offset * uy, base_y - offset * ux)
-    return left, right
-
-
-def _nearest_on_center_line(
-    center_a: tuple[float, float],
-    radius_a: float,
-    center_b: tuple[float, float],
-    radius_b: float,
-) -> tuple[tuple[float, float], float]:
-    """Fallback placement for circles that do not intersect.
-
-    Minimizes the sum of squared level-curve violations over the line
-    through the two centers; returns (point, minimized sum).
-    """
-    ax, ay = center_a
-    bx, by = center_b
-    d = math.hypot(bx - ax, by - ay)
-    ux, uy = (bx - ax) / d, (by - ay) / d
-
-    def violation(t: float) -> float:
-        return (abs(t) - radius_a) ** 2 + (abs(d - t) - radius_b) ** 2
-
-    candidates = [
-        min(max((radius_a + d - radius_b) / 2.0, 0.0), d),  # between the centers
-        (radius_a + d + radius_b) / 2.0,                    # beyond center_b
-        min((d - radius_a - radius_b) / 2.0, 0.0),          # behind center_a
-        0.0,
-        d,
-    ]
-    best_t = min(candidates, key=lambda t: (violation(t), t))
-    return (ax + best_t * ux, ay + best_t * uy), violation(best_t)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def place_exemplars(
     table: TypicalityTable,
     field_a: GaussianField,
@@ -301,45 +273,74 @@ def place_exemplars(
     center-A-to-center-B line, odd indices the right one.  When the circles
     do not intersect, the point on the center line minimizing the sum of
     squared radial violations is used and the residual records that sum.
+    A radius that overflows carries inf and NaN on silently, as floats do.
     """
-    mu_a, mu_b = table.mu_a, table.mu_b
-    top_a = int(np.argmax(mu_a))
-    top_b = int(np.argmax(mu_b))
-    max_a, max_b = float(mu_a.max()), float(mu_b.max())
-    placements = []
-    for k, name in enumerate(table.names):
-        if k == top_a:
-            location, residual = field_a.center, 0.0
-        elif k == top_b:
-            location, residual = field_b.center, 0.0
-        else:
-            radius_a = field_a.level_radius(float(mu_a[k]) / max_a)
-            radius_b = field_b.level_radius(float(mu_b[k]) / max_b)
-            pair = circle_intersections(
-                field_a.center, radius_a, field_b.center, radius_b
-            )
-            if pair is not None:
-                location = pair[0] if (k + 1) % 2 == 0 else pair[1]
-                residual = 0.0
-            else:
-                location, residual = _nearest_on_center_line(
-                    field_a.center, radius_a, field_b.center, radius_b
-                )
-        placements.append(
-            Placement(k + 1, name, float(location[0]), float(location[1]), residual)
+    (ax, ay), (bx, by) = (map(float, field.center) for field in (field_a, field_b))
+    d = math.hypot(bx - ax, by - ay)
+    if d == 0.0:
+        raise FitError("centers must be distinct")
+    ux, uy = (bx - ax) / d, (by - ay) / d
+    mu_a, mu_b, n = table.mu_a, table.mu_b, table.n
+    top_a, top_b = int(mu_a.argmax()), int(mu_b.argmax())
+    free = np.ones(n, dtype=bool)
+    free[top_a] = free[top_b] = False
+    if (zero := free & ((mu_a == 0.0) | (mu_b == 0.0))).any():
+        k = int(zero.argmax())
+        label = "mu_a" if mu_a[k] == 0.0 else "mu_b"
+        raise ValidationError(
+            f"exemplar {k + 1} ({table.names[k]}): {label} = 0.0 has no level curve"
         )
-    return PlacementMap(tuple(placements))
+    # a pinned top exemplar takes radii 0 here and its center below
+    radius_a, radius_b = (
+        field.level_radius(np.where(free, mu / mu.max(), 1.0))
+        for field, mu in ((field_a, mu_a), (field_b, mu_b))
+    )
+
+    # circles that meet: the chord's foot lies ``along`` the center line,
+    # the chosen point ``lateral`` to its left (even index) or right (odd);
+    # rows whose circles miss are overwritten below.  No value clamped here
+    # or below is -0.0, the one input where np.maximum and np.minimum part
+    # from Python's max and min.
+    square_a = _squares(radius_a)
+    along = (square_a - _squares(radius_b) + d * d) / (2.0 * d)
+    lateral = np.sqrt(np.maximum(square_a - along * along, 0.0))
+    lateral[1::2] *= -1.0
+    x = ax + along * ux + lateral * uy
+    y = ay + along * uy - lateral * ux
+    residual = np.zeros(n)
+
+    # circles that miss: the least violation among five points t on the
+    # center line
+    miss = free & ((d > radius_a + radius_b) | (d < np.abs(radius_a - radius_b)))
+    ra, rb = radius_a[miss], radius_b[miss]
+    t = np.array([
+        np.minimum(np.maximum((ra + d - rb) / 2.0, 0.0), d),  # between the centers
+        (ra + d + rb) / 2.0,  # beyond center B
+        np.minimum((d - ra - rb) / 2.0, 0.0),  # behind center A
+        np.zeros(ra.size),
+        np.full(ra.size, d),
+    ])
+    violation = _squares(np.abs(t) - ra) + _squares(np.abs(d - t) - rb)
+    # as Python's min(key=(violation, t)): ties go to the smallest t, and a
+    # NaN violation never wins, nor loses when it comes first
+    best_v = np.fmin.reduce(violation)
+    best_t = np.where(violation == best_v, t, np.inf).min(axis=0)
+    first = np.isnan(violation[0])
+    best_t[first], best_v[first] = t[0, first], violation[0, first]
+    x[miss], y[miss], residual[miss] = ax + best_t * ux, ay + best_t * uy, best_v
+
+    x[top_b], y[top_b] = bx, by
+    x[top_a], y[top_a] = ax, ay
+    return PlacementMap(table.names, x, y, residual)
 
 
 def interpolate_phase(placements: PlacementMap, phi_deg) -> PhaseField:
     """Phase field through the exemplar locations with their phi values."""
     phi = np.asarray(phi_deg, dtype=float)
-    locations = placements.locations()
-    if phi.shape != (locations.shape[0],):
-        raise ValidationError(
-            f"need one phase per placement: {phi.shape} vs {locations.shape[0]}"
-        )
-    return PhaseField(locations, phi)
+    n = len(placements.names)
+    if phi.shape != (n,):
+        raise ValidationError(f"need one phase per placement: {phi.shape} vs {n}")
+    return PhaseField(placements.locations(), phi)
 
 
 def default_window(
@@ -349,14 +350,10 @@ def default_window(
 ) -> tuple[float, float, float, float]:
     """Bounding box of the placements padded by DEFAULT_WINDOW_PADDING *
     max(sigma)."""
-    locations = placements.locations()
+    x, y = placements.x, placements.y
     pad = DEFAULT_WINDOW_PADDING * max(field_a.sigma, field_b.sigma)
-    return (
-        float(locations[:, 0].min() - pad),
-        float(locations[:, 0].max() + pad),
-        float(locations[:, 1].min() - pad),
-        float(locations[:, 1].max() + pad),
-    )
+    return (float(x.min() - pad), float(x.max() + pad),
+            float(y.min() - pad), float(y.max() + pad))
 
 
 def render_grids(
@@ -433,6 +430,6 @@ def placements_to_csv(placements: PlacementMap) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["exemplar", "x", "y", "residual"])
-    for p in placements.placements:
-        writer.writerow([p.name, repr(p.x), repr(p.y), repr(p.residual)])
+    columns = (placements.x, placements.y, placements.residual)
+    writer.writerows(zip(placements.names, *(map(repr, c.tolist()) for c in columns)))
     return buffer.getvalue()

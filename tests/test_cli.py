@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -197,6 +198,17 @@ class TestSolveCommand:
         assert status == 1
         assert "mu_a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "render", "classify"])
+    def test_table_commands_share_input_and_tolerance(self, command):
+        parser = cli._build_parser()
+        args = parser.parse_args([command, "table.csv", "--tolerance", "0.1"])
+        assert (args.input, args.tolerance) == ("table.csv", 0.1)
+        sub = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert "column-sum tolerance" in sub.choices[command].format_help()
+
     def test_tolerance_flag_relaxes_the_check(self, tmp_path):
         path = tmp_path / "off.csv"
         path.write_text("exemplar,mu_a,mu_b,mu_ab\nA,0.45,0.5,0.5\nB,0.5,0.45,0.45\n")
@@ -367,6 +379,34 @@ class TestVerifyCommand:
         report_path.write_text(json.dumps(corrupt(report)))
         assert main(["verify", str(report_path)]) == 1
         assert "malformed report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda report: report.update(m=report["m"] + 0.9),
+            lambda report: report.update(m=str(report["m"])),
+            lambda report: report["exemplars"][0].update(index=True),
+            lambda report: report["exemplars"][0].update(index=1.0),
+            lambda report: report["exemplars"][0].update(
+                mu_a=repr(report["exemplars"][0]["mu_a"])
+            ),
+        ],
+        ids=["float-m", "string-m", "bool-index", "float-index", "string-mu-a"],
+    )
+    def test_verify_rejects_wrong_json_types(
+        self, dataset_path, tmp_path, capsys, edit
+    ):
+        # each edit names the same number in another JSON type, which Python
+        # would read back as the original value
+        report_path = tmp_path / "report.json"
+        main(["solve", str(dataset_path), "-o", str(report_path)])
+        report = json.loads(report_path.read_text())
+        edit(report)
+        report_path.write_text(json.dumps(report))
+        assert main(["verify", str(report_path)]) == 1
+        captured = capsys.readouterr()
+        assert "malformed report" in captured.err
+        assert "model verified" not in captured.out
 
     def test_verify_infeasible_report_exits_1(self, tmp_path, capsys):
         path = tmp_path / "infeasible.csv"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from concept_interference import (
     render_grids,
     solve,
 )
-from concept_interference.wavefield import circle_intersections, cos_deg
+from concept_interference import parse_table
+from concept_interference.wavefield import cos_deg
 
 from conftest import feasible_tables, make_table
 from reference_values import SIGMA_A, SIGMA_B
@@ -105,19 +107,121 @@ class TestFit:
             fit_gaussian_fields(table)
 
 
+def _circle_intersections(center_a, radius_a, center_b, radius_b):
+    """Both intersection points of two circles, or None when they miss.
+
+    The first point lies to the left of the directed line from center_a to
+    center_b, the second to the right (they coincide at tangency).
+    """
+    ax, ay = center_a
+    bx, by = center_b
+    d = math.hypot(bx - ax, by - ay)
+    if d == 0.0:
+        return None
+    if d > radius_a + radius_b or d < abs(radius_a - radius_b):
+        return None
+    along = (radius_a**2 - radius_b**2 + d * d) / (2.0 * d)
+    offset = math.sqrt(max(radius_a**2 - along * along, 0.0))
+    ux, uy = (bx - ax) / d, (by - ay) / d
+    base_x, base_y = ax + along * ux, ay + along * uy
+    left = (base_x - offset * uy, base_y + offset * ux)
+    right = (base_x + offset * uy, base_y - offset * ux)
+    return left, right
+
+
+def _nearest_on_center_line(center_a, radius_a, center_b, radius_b):
+    """Fallback for circles that miss: the point on the line through the
+    centers with the least sum of squared level-curve violations, and that
+    sum.  Ties go to the smallest t."""
+    ax, ay = center_a
+    bx, by = center_b
+    d = math.hypot(bx - ax, by - ay)
+    ux, uy = (bx - ax) / d, (by - ay) / d
+
+    def violation(t):
+        return (abs(t) - radius_a) ** 2 + (abs(d - t) - radius_b) ** 2
+
+    candidates = [
+        min(max((radius_a + d - radius_b) / 2.0, 0.0), d),  # between the centers
+        (radius_a + d + radius_b) / 2.0,                    # beyond center_b
+        min((d - radius_a - radius_b) / 2.0, 0.0),          # behind center_a
+        0.0,
+        d,
+    ]
+    best_t = min(candidates, key=lambda t: (violation(t), t))
+    return (ax + best_t * ux, ay + best_t * uy), violation(best_t)
+
+
+def _reference_placements(table, field_a, field_b):
+    """(x, y, residual) per exemplar by the per-exemplar loop of scalar
+    geometry that the array-wise ``place_exemplars`` replaced, kept here as
+    its bit-exact reference."""
+    mu_a, mu_b = table.mu_a, table.mu_b
+    top_a, top_b = int(np.argmax(mu_a)), int(np.argmax(mu_b))
+    max_a, max_b = float(mu_a.max()), float(mu_b.max())
+    rows = []
+    for k in range(table.n):
+        if k == top_a:
+            location, residual = field_a.center, 0.0
+        elif k == top_b:
+            location, residual = field_b.center, 0.0
+        else:
+            radius_a, radius_b = (
+                field.sigma * math.sqrt(2.0 * math.log(1.0 / fraction))
+                for field, fraction in (
+                    (field_a, float(mu_a[k]) / max_a),
+                    (field_b, float(mu_b[k]) / max_b),
+                )
+            )
+            circles = (field_a.center, radius_a, field_b.center, radius_b)
+            pair = _circle_intersections(*circles)
+            if pair is not None:
+                location, residual = pair[(k + 1) % 2], 0.0
+            else:
+                location, residual = _nearest_on_center_line(*circles)
+        rows.append((float(location[0]), float(location[1]), residual))
+    return rows
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _assert_matches_reference(table, field_a, field_b):
+    placements = place_exemplars(table, field_a, field_b)
+    columns = (placements.x, placements.y, placements.residual)
+    reference = _reference_placements(table, field_a, field_b)
+    assert _bits(np.column_stack(columns)) == _bits(reference)
+    return placements
+
+
 class TestCircleIntersections:
     def test_analytic_case(self):
-        pair = circle_intersections((0.0, 0.0), 3.0, (4.0, 0.0), 3.0)
+        pair = _circle_intersections((0.0, 0.0), 3.0, (4.0, 0.0), 3.0)
         assert pair is not None
         left, right = pair
         assert left == pytest.approx((2.0, math.sqrt(5.0)), abs=1e-12)
         assert right == pytest.approx((2.0, -math.sqrt(5.0)), abs=1e-12)
 
     def test_disjoint_circles(self):
-        assert circle_intersections((0.0, 0.0), 1.0, (5.0, 0.0), 1.0) is None
+        assert _circle_intersections((0.0, 0.0), 1.0, (5.0, 0.0), 1.0) is None
 
     def test_nested_circles(self):
-        assert circle_intersections((0.0, 0.0), 5.0, (1.0, 0.0), 1.0) is None
+        assert _circle_intersections((0.0, 0.0), 5.0, (1.0, 0.0), 1.0) is None
+
+
+# exemplar 3 sits at half of both peaks, so both its level radii are
+# sigma * sqrt(2 ln 2): a field of sigma r / sqrt(2 ln 2) gives it radius ~r
+HALF_PEAK_TABLE = ([0.4, 0.1, 0.2], [0.1, 0.4, 0.2], [0.25, 0.25, 0.5])
+HALF_PEAK_SIGMA = 1.0 / math.sqrt(2.0 * math.log(2.0))
+
+
+def _half_peak_setup(radius_a, radius_b, d):
+    """The half-peak table, its field A at the origin and field B at (d, 0),
+    with exemplar 3's level radii near radius_a and radius_b."""
+    field_a = GaussianField((0.0, 0.0), radius_a * HALF_PEAK_SIGMA, 0.4)
+    field_b = GaussianField((d, 0.0), radius_b * HALF_PEAK_SIGMA, 0.4)
+    return make_table(*HALF_PEAK_TABLE), field_a, field_b
 
 
 class TestPlacement:
@@ -164,16 +268,15 @@ class TestPlacement:
     @settings(max_examples=80, deadline=None)
     def test_fallback_minimizes_along_center_line(self, radius_a, radius_b, d):
         # brute-force scan oracle: no point on the center line may beat the
-        # closed-form fallback by more than float noise
-        from concept_interference.wavefield import _nearest_on_center_line
-
-        center_a, center_b = (0.0, 0.0), (d, 0.0)
+        # fallback placement by more than float noise
+        table, field_a, field_b = _half_peak_setup(radius_a, radius_b, d)
+        radius_a = float(field_a.level_radius(0.5))
+        radius_b = float(field_b.level_radius(0.5))
         assume(
             d > radius_a + radius_b or d < abs(radius_a - radius_b)
         )  # otherwise the circles intersect and the fallback is unused
-        (x, y), residual = _nearest_on_center_line(
-            center_a, radius_a, center_b, radius_b
-        )
+        placements = place_exemplars(table, field_a, field_b)
+        _, _, x, y, residual = placements.placements[2]
         assert y == 0.0
         assert residual > 0.0
 
@@ -200,6 +303,81 @@ class TestPlacement:
         assert third.y == 0.0  # fallback point lies on the center line
         assert 0.0 <= third.x <= 100.0
 
+    @pytest.mark.parametrize(
+        "radius_a, radius_b, d",
+        [(1.0, 1.0, 5.0), (5.0, 1.0, 1.0), (1.0, 5.0, 1.0)],
+        ids=["disjoint", "nested-b-in-a", "nested-a-in-b"],
+    )
+    def test_missing_circles_match_reference(self, radius_a, radius_b, d):
+        placements = _assert_matches_reference(*_half_peak_setup(radius_a, radius_b, d))
+        assert placements.residual[2] > 0.0
+        assert placements.y[2] == 0.0
+
+    @pytest.mark.parametrize("inner", [False, True], ids=["outer", "inner"])
+    def test_tangent_circles_match_reference(self, inner):
+        # the center distance is set from the level radii themselves, so
+        # the circles touch to the last bit
+        table, field_a, field_b = _half_peak_setup(2.0, 0.5, 1.0)
+        radius_a = float(field_a.level_radius(0.5))
+        radius_b = float(field_b.level_radius(0.5))
+        d = radius_a - radius_b if inner else radius_a + radius_b
+        field_b = GaussianField((d, 0.0), field_b.sigma, field_b.peak)
+        placements = _assert_matches_reference(table, field_a, field_b)
+        assert placements.residual[2] == 0.0
+        assert placements.x[2] == pytest.approx(radius_a, rel=1e-12)
+
+    def test_fallback_tie_matches_reference(self):
+        # exemplar 3 ties both column maxima, so both its level radii are 0:
+        # the between-centers and beyond-B candidates tie at the midpoint
+        table = make_table([0.4, 0.2, 0.4], [0.2, 0.4, 0.4], [0.3, 0.3, 0.4])
+        field_a = GaussianField((0.0, 0.0), 1.0, 0.4)
+        field_b = GaussianField((6.0, 8.0), 1.0, 0.4)
+        placements = _assert_matches_reference(table, field_a, field_b)
+        assert (placements.x[2], placements.y[2]) == (3.0, 4.0)
+        assert placements.residual[2] == 50.0
+
+    def test_overflowing_radius_matches_reference_silently(self):
+        # 1 / (1e-320 / 0.5) overflows to inf: exemplar 3's circle A never
+        # meets, and its fallback candidates beyond B and behind A read
+        # inf - inf = NaN, which never wins; exemplar 4's two infinite radii
+        # pass the meeting test and give NaN, as the scalar loop did
+        table = make_table(
+            [0.5, 0.2, 1e-320, 1e-320], [0.1, 0.6, 0.3, 1e-320], [0.3, 0.4, 0.1, 0.1]
+        )
+        field_a = GaussianField((0.0, 0.0), 2.0, 0.5)
+        field_b = GaussianField((5.0, 0.0), 2.0, 0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            placements = _assert_matches_reference(table, field_a, field_b)
+        assert placements.placements[2][2:] == (0.0, 0.0, math.inf)
+
+    def test_coincident_centers_rejected(self):
+        table = make_table([0.5, 0.2, 0.3], [0.2, 0.5, 0.3], [0.35, 0.35, 0.3])
+        field_a = GaussianField((0, 0), 1.0, 0.5)
+        field_b = GaussianField((0, 0), 2.0, 0.4)
+        with pytest.raises(FitError, match="centers must be distinct"):
+            place_exemplars(table, field_a, field_b)
+
+    def test_zero_marginal_named(self):
+        table = parse_table(
+            "exemplar,mu_a,mu_b,mu_ab\n"
+            "Apple,0.5,0.1,0.3\nBean,0.2,0.6,0.4\nOlive,0.3,0.0,0.1\n"
+        )
+        field_a, field_b = fit_gaussian_fields(table)
+        message = r"^exemplar 3 \(Olive\): mu_b = 0.0 has no level curve$"
+        with pytest.raises(ValidationError, match=message):
+            place_exemplars(table, field_a, field_b)
+
+
+@given(feasible_tables(min_n=3, max_n=12), st.sampled_from([(6.0, 3.0), (-2.5, 0.75)]))
+@settings(max_examples=60, deadline=None)
+def test_placement_matches_scalar_reference_bitwise(table, center_b):
+    try:
+        fields = fit_gaussian_fields(table, (0.0, 0.0), center_b)
+    except FitError:
+        assume(False)  # shared top exemplar; the fit contract excludes it
+    _assert_matches_reference(table, *fields)
+
 
 @given(feasible_tables(min_n=3, max_n=8))
 @settings(max_examples=40, deadline=None)
@@ -218,8 +396,8 @@ def test_placements_satisfy_level_curves_or_record_residuals(table):
             assert ratio_b == pytest.approx(table.mu_b[i] / max_b, abs=1e-9)
         else:
             # the recorded residual is the sum of squared radial violations
-            radius_a = field_a.level_radius(table.mu_a[i] / max_a)
-            radius_b = field_b.level_radius(table.mu_b[i] / max_b)
+            radius_a = float(field_a.level_radius(table.mu_a[i] / max_a))
+            radius_b = float(field_b.level_radius(table.mu_b[i] / max_b))
             gap_a = math.hypot(placement.x, placement.y) - radius_a
             gap_b = math.hypot(placement.x - 6.0, placement.y - 3.0) - radius_b
             assert placement.residual == pytest.approx(
