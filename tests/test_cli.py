@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -345,6 +346,39 @@ class TestVerifyCommand:
         assert main(["verify", str(report_path)]) == 2
         captured = capsys.readouterr()
         assert "verification failed" in captured.err
+        assert "model verified" not in captured.out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            *(
+                _edited(
+                    lambda report, scale=scale: [
+                        pair.update(re=pair["re"] * scale, im=pair["im"] * scale)
+                        for pair in report["vector_a"]
+                    ]
+                )
+                for scale in (1e-200, 1e-160, 1e160, 1e200)
+            ),
+            _edited(lambda report: report["vector_a"][0].update(re=math.nan)),
+        ],
+        ids=["scaled-1e-200", "scaled-1e-160", "scaled-1e160", "scaled-1e200", "nan"],
+    )
+    def test_verify_fails_vector_outside_normal_range(
+        self, dataset_path, tmp_path, capsys, edit
+    ):
+        # the squared norm of such a vector underflows, overflows or is NaN,
+        # and whatever its norm rounds to, it is far from 1
+        report_path = tmp_path / "report.json"
+        main(["solve", str(dataset_path), "-o", str(report_path)])
+        report = json.loads(report_path.read_text())
+        report_path.write_text(json.dumps(edit(report)))
+        assert main(["verify", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert re.search(
+            r"verification failed: norm_a_error = \S+ over threshold 1e-09",
+            captured.err,
+        )
         assert "model verified" not in captured.out
 
     def test_verify_missing_file_exits_1(self, tmp_path, capsys):
