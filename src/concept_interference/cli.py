@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .errors import (
 from .solver import (
     InterferenceSolution,
     ProjectorLayout,
+    VerificationReport,
     classify_exemplars,
     compute_deviations,
     measure_residuals,
@@ -60,12 +61,7 @@ EXIT_INFEASIBLE = 2
 # The paper's tolerance on every residual that solve and verify check.
 RESIDUAL_THRESHOLD = 1e-9
 
-_RESIDUAL_THRESHOLD_KEYS = (
-    "orthogonality_modulus",
-    "norm_a_error",
-    "norm_b_error",
-    "max_reconstruction_error",
-)
+_RESIDUAL_THRESHOLD_KEYS = tuple(field.name for field in fields(VerificationReport))
 
 
 class _UsageError(Exception):
@@ -235,11 +231,11 @@ def _rows_text(rows) -> str | None:
     texts = [_column_text(column) for column in zip(*map(dict.values, rows))]
     if any(text is None for text in texts):
         return None
-    fields = ",\n".join(
+    entries = ",\n".join(
         "      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
         for key in keys
     )
-    template = "    {\n" + fields + "\n    }"
+    template = "    {\n" + entries + "\n    }"
     return "[\n" + ",\n".join(map(template.__mod__, zip(*texts))) + "\n  ]"
 
 
@@ -418,7 +414,8 @@ def _run_verify(args) -> int:
     for key in _RESIDUAL_THRESHOLD_KEYS:
         value = getattr(recomputed, key)
         print(f"{key} = {value:.6e}")
-        if not abs(value - stored[key]) <= 1e-12:  # NaN differs too
+        # equal infinities agree; NaN differs from everything
+        if not (value == stored[key] or abs(value - stored[key]) <= 1e-12):
             failures.append(f"{key} differs from the stored value {stored[key]!r}")
         if key in over:
             failures.append(

@@ -72,13 +72,6 @@ _RADICAND_SLACK = 8 * float(np.finfo(np.float64).eps)
 # Rounding slack: c_m above 1 by more than this is an error, within it a clamp.
 _CM_OVERSHOOT_SLACK = 1e-9
 
-# Below this unscaled norm the squared norm (< 1e-292) is near enough to the
-# subnormal range that rounding of subnormal squares can show in the result,
-# so norm() rescales; above it that rounding (<= 2.5e-324 per square) stays
-# below 1e-31 of the sum for any realistic length.
-_NORM_RESCALE_BELOW = 1e-146
-_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-
 
 class Classification(enum.Enum):
     WEAKENING = "Weakening"
@@ -128,10 +121,6 @@ class ProjectorLayout:
         if not 1 <= self.m <= self.n:
             raise ValidationError(f"m must be in 1..{self.n}, got {self.m}")
 
-    @property
-    def dimension(self) -> int:
-        return self.n + 1
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -167,10 +156,6 @@ class InterferenceSolution:
     vector_a: np.ndarray
     vector_b: np.ndarray
     residuals: VerificationReport
-
-    @property
-    def n(self) -> int:
-        return len(self.deviations)
 
 
 def compute_deviations(table: TypicalityTable) -> np.ndarray:
@@ -351,35 +336,7 @@ def build_state_vectors(
     return vector_a, vector_b
 
 
-def norm(u) -> float:
-    """Euclidean norm sqrt(sum |u_k|^2), accurate over the whole float range.
-
-    ``np.linalg.norm`` sums unscaled squares, which turn subnormal (and lose
-    digits) when the norm is below about 1e-154 and overflow when it is above
-    about 1e154.  Outside ``[_NORM_RESCALE_BELOW, inf)`` the vector is
-    therefore rescaled by its largest real or imaginary part first.  For
-    finite entries the result is within a few ulps of the true norm whenever
-    that norm is a normal float (about 2.2e-308 to 1.8e308) and ``inf``
-    above that.  A true norm below the smallest normal float is returned as
-    0.0: it would carry only a few digits, and dividing by it overflows, so
-    ``u / norm(u)`` is finite whenever ``norm(u) > 0``.  A vector holding
-    ``inf`` has norm ``inf``; one holding ``nan`` has norm ``nan``.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    re, im = u.real, u.imag
-    # the sum np.linalg.norm forms, bit for bit, but neither vdot nor the
-    # float add warns on overflow for the huge vectors rescaled below
-    r = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
-    if u.size == 0 or not (r < _NORM_RESCALE_BELOW or r == math.inf):
-        return r  # normal range, empty vector, or nan
-    parts = np.abs(np.concatenate((re, im)))
-    scale = float(parts.max())
-    if scale == 0.0 or scale == math.inf:
-        return scale
-    r = scale * float(np.linalg.norm(parts / scale))
-    return r if r >= _SMALLEST_NORMAL else 0.0
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def measure_residuals(
     vector_a: np.ndarray,
     vector_b: np.ndarray,
@@ -391,26 +348,27 @@ def measure_residuals(
     Computes the orthogonality modulus |<A|B>|, both unit-norm errors, and
     the worst gap between mu_ab and the superposed-state projection; used
     both when a model is built and to re-check serialized models.  Raises
-    DimensionError unless both vectors hold n + 1 coordinates.
+    DimensionError unless both vectors hold n + 1 coordinates.  A norm
+    outside the normal float range reads an error near 1, inf or NaN.
     """
     n = layout.n
     vector_a = np.asarray(vector_a, dtype=np.complex128)
     vector_b = np.asarray(vector_b, dtype=np.complex128)
     for vector in (vector_a, vector_b):
-        if vector.shape != (layout.dimension,):
+        if vector.shape != (n + 1,):
             raise DimensionError(
                 f"state vector has shape {vector.shape}, layout needs "
-                f"{layout.dimension} coordinates"
+                f"{n + 1} coordinates"
             )
     superposed = vector_a + vector_b
     re, im = superposed.real, superposed.imag
-    probabilities = re[:n] * re[:n] + im[:n] * im[:n]
-    probabilities[layout.m - 1] += re[n] * re[n] + im[n] * im[n]
-    max_reconstruction = np.max(np.abs(0.5 * probabilities - table.mu_ab))
+    probabilities = re * re + im * im
+    probabilities[layout.m - 1] += probabilities[n]  # projector m spans {m, n+1}
+    max_reconstruction = np.max(np.abs(0.5 * probabilities[:n] - table.mu_ab))
     return VerificationReport(
         orthogonality_modulus=abs(complex(np.vdot(vector_a, vector_b))),
-        norm_a_error=abs(norm(vector_a) - 1.0),
-        norm_b_error=abs(norm(vector_b) - 1.0),
+        norm_a_error=float(abs(np.linalg.norm(vector_a) - 1.0)),
+        norm_b_error=float(abs(np.linalg.norm(vector_b) - 1.0)),
         max_reconstruction_error=float(max_reconstruction),
     )
 

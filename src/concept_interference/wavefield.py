@@ -123,7 +123,9 @@ class PhaseField:
         if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 1:
             raise ValidationError(f"nodes must be (n, 2), got {nodes.shape}")
         if values.shape != (nodes.shape[0],):
-            raise ValidationError("need exactly one phase value per node")
+            raise ValidationError(
+                f"need one phase per node: {values.shape} vs nodes {nodes.shape}"
+            )
         if len(np.unique(nodes, axis=0)) != nodes.shape[0]:
             raise ValidationError("duplicate node locations")
         object.__setattr__(self, "nodes_xy", nodes)
@@ -258,7 +260,7 @@ def fit_gaussian_fields(
     return field_a, field_b
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def place_exemplars(
     table: TypicalityTable,
     field_a: GaussianField,
@@ -273,7 +275,8 @@ def place_exemplars(
     center-A-to-center-B line, odd indices the right one.  When the circles
     do not intersect, the point on the center line minimizing the sum of
     squared radial violations is used and the residual records that sum.
-    A radius that overflows carries inf and NaN on silently, as floats do.
+    A non-top exemplar whose fraction of a peak has no finite level radius
+    (0, or so small that its reciprocal overflows) raises ValidationError.
     """
     (ax, ay), (bx, by) = (map(float, field.center) for field in (field_a, field_b))
     d = math.hypot(bx - ax, by - ay)
@@ -284,17 +287,18 @@ def place_exemplars(
     top_a, top_b = int(mu_a.argmax()), int(mu_b.argmax())
     free = np.ones(n, dtype=bool)
     free[top_a] = free[top_b] = False
-    if (zero := free & ((mu_a == 0.0) | (mu_b == 0.0))).any():
-        k = int(zero.argmax())
-        label = "mu_a" if mu_a[k] == 0.0 else "mu_b"
+    # a pinned top exemplar takes fraction 1 here and its center below
+    fraction_a, fraction_b = (np.where(free, mu / mu.max(), 1.0) for mu in (mu_a, mu_b))
+    no_curve_a, no_curve_b = (~np.isfinite(1.0 / f) for f in (fraction_a, fraction_b))
+    if (no_curve := no_curve_a | no_curve_b).any():
+        k = int(no_curve.argmax())
+        label, mu = ("mu_a", mu_a) if no_curve_a[k] else ("mu_b", mu_b)
         raise ValidationError(
-            f"exemplar {k + 1} ({table.names[k]}): {label} = 0.0 has no level curve"
+            f"exemplar {k + 1} ({table.names[k]}): {label} = {float(mu[k])!r} "
+            "has no level curve"
         )
-    # a pinned top exemplar takes radii 0 here and its center below
-    radius_a, radius_b = (
-        field.level_radius(np.where(free, mu / mu.max(), 1.0))
-        for field, mu in ((field_a, mu_a), (field_b, mu_b))
-    )
+    radius_a = field_a.level_radius(fraction_a)
+    radius_b = field_b.level_radius(fraction_b)
 
     # circles that meet: the chord's foot lies ``along`` the center line,
     # the chosen point ``lateral`` to its left (even index) or right (odd);
@@ -336,11 +340,7 @@ def place_exemplars(
 
 def interpolate_phase(placements: PlacementMap, phi_deg) -> PhaseField:
     """Phase field through the exemplar locations with their phi values."""
-    phi = np.asarray(phi_deg, dtype=float)
-    n = len(placements.names)
-    if phi.shape != (n,):
-        raise ValidationError(f"need one phase per placement: {phi.shape} vs {n}")
-    return PhaseField(placements.locations(), phi)
+    return PhaseField(placements.locations(), phi_deg)
 
 
 def default_window(

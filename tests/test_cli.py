@@ -51,6 +51,11 @@ def _edited(edit):
     return corrupt
 
 
+def _scale_vector_a(report, scale):
+    for pair in report["vector_a"]:
+        pair.update(re=pair["re"] * scale, im=pair["im"] * scale)
+
+
 _SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308)
 # any float, the non-finite ones and -0.0 and subnormals for sure, and the
 # scalars json writes through its general path
@@ -348,31 +353,17 @@ class TestVerifyCommand:
         assert "verification failed" in captured.err
         assert "model verified" not in captured.out
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            *(
-                _edited(
-                    lambda report, scale=scale: [
-                        pair.update(re=pair["re"] * scale, im=pair["im"] * scale)
-                        for pair in report["vector_a"]
-                    ]
-                )
-                for scale in (1e-200, 1e-160, 1e160, 1e200)
-            ),
-            _edited(lambda report: report["vector_a"][0].update(re=math.nan)),
-        ],
-        ids=["scaled-1e-200", "scaled-1e-160", "scaled-1e160", "scaled-1e200", "nan"],
-    )
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200, math.nan])
     def test_verify_fails_vector_outside_normal_range(
-        self, dataset_path, tmp_path, capsys, edit
+        self, dataset_path, tmp_path, capsys, scale
     ):
         # the squared norm of such a vector underflows, overflows or is NaN,
         # and whatever its norm rounds to, it is far from 1
         report_path = tmp_path / "report.json"
         main(["solve", str(dataset_path), "-o", str(report_path)])
         report = json.loads(report_path.read_text())
-        report_path.write_text(json.dumps(edit(report)))
+        _scale_vector_a(report, scale)
+        report_path.write_text(json.dumps(report))
         assert main(["verify", str(report_path)]) == 2
         captured = capsys.readouterr()
         assert re.search(
@@ -380,6 +371,20 @@ class TestVerifyCommand:
             captured.err,
         )
         assert "model verified" not in captured.out
+
+    def test_verify_equal_infinities_agree(self, dataset_path, tmp_path, capsys):
+        # the squares of the superposed state overflow, so the recomputed
+        # reconstruction error is inf, which the stored Infinity matches
+        report_path = tmp_path / "report.json"
+        main(["solve", str(dataset_path), "-o", str(report_path)])
+        report = json.loads(report_path.read_text())
+        _scale_vector_a(report, 1e200)
+        report["residuals"]["max_reconstruction_error"] = math.inf
+        report_path.write_text(json.dumps(report))
+        assert main(["verify", str(report_path)]) == 2
+        err = capsys.readouterr().err
+        assert "max_reconstruction_error = inf over threshold 1e-09" in err
+        assert "max_reconstruction_error differs" not in err
 
     def test_verify_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
@@ -563,6 +568,20 @@ class TestRenderCommand:
         assert status == 0
         header = (out_dir / "a_only.csv").read_text().splitlines()[0]
         assert header == "-10.0,18.0,-12.0,12.0,32,32"
+
+    def test_marginal_without_level_curve_exits_1(self, tmp_path, capsys):
+        # 1 / (1e-320 / 0.7) overflows, so exemplar C has no place to render
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "exemplar,mu_a,mu_b,mu_ab\n"
+            "A,0.7,0.1,0.45\nB,0.3,0.6,0.4\nC,1e-320,0.3,0.15\n"
+        )
+        out_dir = tmp_path / "x"
+        assert main(["render", str(path), "-o", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: exemplar 3 (C): mu_a = 1e-320 has no level curve\n"
+        )
+        assert not out_dir.exists()
 
     def test_bad_centers_exit_1(self, dataset_path, tmp_path, capsys):
         status = main(

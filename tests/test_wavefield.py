@@ -336,20 +336,22 @@ class TestPlacement:
         assert (placements.x[2], placements.y[2]) == (3.0, 4.0)
         assert placements.residual[2] == 50.0
 
-    def test_overflowing_radius_matches_reference_silently(self):
-        # 1 / (1e-320 / 0.5) overflows to inf: exemplar 3's circle A never
-        # meets, and its fallback candidates beyond B and behind A read
-        # inf - inf = NaN, which never wins; exemplar 4's two infinite radii
-        # pass the meeting test and give NaN, as the scalar loop did
-        table = make_table(
-            [0.5, 0.2, 1e-320, 1e-320], [0.1, 0.6, 0.3, 1e-320], [0.3, 0.4, 0.1, 0.1]
-        )
+    def test_overflowing_radius_rejected(self):
+        # 1 / (1e-320 / 0.5) overflows to inf, as 1 / 0 does: no finite
+        # radius holds exemplar 3's level curve of field A, so it has no
+        # place; a fraction of 2e-300 still has one
         field_a = GaussianField((0.0, 0.0), 2.0, 0.5)
         field_b = GaussianField((5.0, 0.0), 2.0, 0.6)
+        mu_b, mu_ab = [0.1, 0.6, 0.3, 1e-320], [0.3, 0.4, 0.1, 0.1]
+        table = make_table([0.5, 0.2, 1e-320, 1e-320], mu_b, mu_ab)
+        message = r"^exemplar 3 \(E3\): mu_a = 1e-320 has no level curve$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                place_exemplars(table, field_a, field_b)
+            table = make_table([0.5, 0.2, 1e-300, 0.3], [0.1, 0.6, 0.1, 0.2], mu_ab)
             placements = _assert_matches_reference(table, field_a, field_b)
-        assert placements.placements[2][2:] == (0.0, 0.0, math.inf)
+        assert np.isfinite(placements.locations()).all()
 
     def test_coincident_centers_rejected(self):
         table = make_table([0.5, 0.2, 0.3], [0.2, 0.5, 0.3], [0.35, 0.35, 0.3])
@@ -543,6 +545,11 @@ class TestPhaseField:
             PhaseField(
                 np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([1.0, 2.0])
             )
+
+    def test_one_phase_per_placement(self, reference_placements):
+        message = r"one phase per node: \(23,\) vs nodes \(24, 2\)$"
+        with pytest.raises(ValidationError, match=message):
+            interpolate_phase(reference_placements, np.zeros(23))
 
 
 class TestCosDeg:
