@@ -6,11 +6,13 @@ otherwise it adds.  The leftover sum is what the closing coefficient on the
 distinguished exemplar absorbs.
 """
 
+import numpy as np
+
 from concept_interference import (
+    assign_signs,
     compute_cm,
     compute_lambda_magnitudes,
     fruits_vegetables,
-    sign_assignment_trace,
     validate_and_normalize,
 )
 
@@ -20,20 +22,18 @@ assert report.constructible
 
 print(f"{'step':>4} {'exemplar':<14} {'|lambda|':>9} {'sign':>4} {'running sum':>12}")
 print("-" * 48)
-trace = sign_assignment_trace(magnitudes)
-for step_number, step in enumerate(trace, start=1):
+signs, m = assign_signs(magnitudes)
+lambdas = signs * magnitudes
+order = np.argsort(-magnitudes, kind="stable").tolist()  # the visit order
+running_sums = np.cumsum(lambdas[order]).tolist()
+for step_number, (k, running) in enumerate(zip(order, running_sums), start=1):
     print(
-        f"{step_number:>4} {table.names[step.index - 1]:<14}"
-        f" {step.magnitude:9.4f} {'+' if step.sign > 0 else '-':>4}"
-        f" {step.running_sum:12.4f}"
+        f"{step_number:>4} {table.names[k]:<14}"
+        f" {magnitudes[k]:9.4f} {'+' if signs[k] > 0 else '-':>4}"
+        f" {running:12.4f}"
     )
 
-m = trace[0].index
-lambdas = [0.0] * table.n
-for step in trace:
-    lambdas[step.index - 1] = step.sign * step.magnitude
-
 print()
-print(f"final running sum: {trace[-1].running_sum:.4f} (never negative)")
+print(f"final running sum: {running_sums[-1]:.4f} (never negative)")
 print(f"m = {m} ({table.names[m - 1]}), the largest magnitude")
 print(f"c_m = {compute_cm(table, lambdas, m):.4f} absorbs the leftover sum")

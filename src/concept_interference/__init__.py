@@ -29,7 +29,6 @@ from .solver import (
     FeasibilityReport,
     InterferenceSolution,
     ProjectorLayout,
-    SignStep,
     VerificationReport,
     assign_signs,
     build_state_vectors,
@@ -39,7 +38,6 @@ from .solver import (
     compute_lambda_magnitudes,
     compute_phases,
     measure_residuals,
-    sign_assignment_trace,
     solve,
     verify_solution,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "PlacementMap",
     "ProjectorLayout",
     "RasterGrid",
-    "SignStep",
     "TypicalityTable",
     "ValidationError",
     "VerificationReport",
@@ -103,7 +100,6 @@ __all__ = [
     "place_exemplars",
     "placements_to_csv",
     "render_grids",
-    "sign_assignment_trace",
     "solve",
     "validate_and_normalize",
     "verify_solution",

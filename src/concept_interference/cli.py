@@ -13,6 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import asdict, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -371,14 +372,21 @@ def _run_classify(args) -> int:
     return EXIT_OK
 
 
+def _json_numbers(values: list, what: str) -> list:
+    """values, each checked to be a JSON number: an int or a float, not a bool."""
+    if not {*map(type, values)} <= {int, float}:
+        raise TypeError(f"{what} holds a value that is not a JSON number")
+    return values
+
+
 def _table_from_report(data: dict) -> TypicalityTable:
     dataset = data["dataset"]
     row = operator.itemgetter("index", "name", "mu_a", "mu_b", "mu_ab")
     rows = list(map(row, data["exemplars"]))
-    # a JSON number loads as an int or a float; a bool or a string is not one
     for k, (index, _, *mu) in enumerate(rows, start=1):
-        if type(index) is not int or not {*map(type, mu)} <= {int, float}:
-            raise TypeError(f"exemplar row {k} holds a value of the wrong JSON type")
+        if type(index) is not int:
+            raise TypeError(f"exemplar row {k}: index {index!r} is not a JSON integer")
+        _json_numbers(mu, f"exemplar row {k}")
     labels = {key: dataset[key] for key in ("label_a", "label_b", "combination_label")}
     notes = dataset.get("notes", ())
     return TypicalityTable(rows, notes=notes, **labels)
@@ -395,18 +403,20 @@ def _run_verify(args) -> int:
         if data.get("vector_a") is None or data.get("vector_b") is None:
             return _fail("report carries no model vectors (infeasible run?)")
         table = _table_from_report(data)
+        re_im = operator.itemgetter("re", "im")  # re, im interleaved, viewed as complex
         vector_a, vector_b = (
-            np.array([complex(p["re"], p["im"]) for p in data[key]])
+            np.array(_json_numbers([*chain(*map(re_im, data[key]))], key), float)
+            .view(complex)
             for key in ("vector_a", "vector_b")
         )
-        stored = {
-            key: float(data["residuals"][key]) for key in _RESIDUAL_THRESHOLD_KEYS
-        }
+        values = operator.itemgetter(*_RESIDUAL_THRESHOLD_KEYS)(data["residuals"])
+        _json_numbers(values, "residuals")
+        stored = dict(zip(_RESIDUAL_THRESHOLD_KEYS, map(float, values)))
         if type(m := data["m"]) is not int:
             raise TypeError(f"m = {m!r} is not a JSON integer")
         layout = ProjectorLayout(table.n, m)
         recomputed = measure_residuals(vector_a, vector_b, table, layout)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return _fail(f"malformed report: {exc!r}")
 
     over = _over_threshold(recomputed)

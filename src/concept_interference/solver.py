@@ -132,16 +132,6 @@ class VerificationReport:
     max_reconstruction_error: float
 
 
-@dataclass(frozen=True)
-class SignStep:
-    """One step of the greedy sign assignment (1-based exemplar index)."""
-
-    index: int
-    magnitude: float
-    sign: int
-    running_sum: float
-
-
 @dataclass(frozen=True, eq=False)
 class InterferenceSolution:
     """Complete fitted model for one table."""
@@ -189,7 +179,11 @@ def compute_lambda_magnitudes(
     return magnitudes, FeasibilityReport(infeasible_exemplars=infeasible)
 
 
-def _checked_magnitudes(magnitudes) -> np.ndarray:
+def assign_signs(magnitudes) -> tuple[np.ndarray, int]:
+    """Signs (+1/-1 per entry, table order) and the distinguished index m of
+    the greedy pass (stage 3).  It visits the entries in decreasing order,
+    ties by ascending index: ``order = np.argsort(-magnitudes, kind="stable")``;
+    its running sums are ``np.cumsum((signs * magnitudes)[order])``."""
     mags = np.asarray(magnitudes, dtype=float)
     if mags.ndim != 1 or mags.size < 2:
         raise ValidationError(
@@ -197,51 +191,34 @@ def _checked_magnitudes(magnitudes) -> np.ndarray:
         )
     if not np.all(np.isfinite(mags)) or np.any(mags < 0.0):
         raise ValidationError("magnitudes must be finite and nonnegative")
-    return mags
-
-
-def _greedy_signs(mags: np.ndarray) -> tuple[list[int], np.ndarray, list[float]]:
-    """Visit order, signs (table order) and running sums (visit order)."""
-    order = np.argsort(-mags, kind="stable").tolist()  # decreasing, ties by index
+    order = np.argsort(-mags, kind="stable").tolist()
     values = mags.tolist()
     signs = np.ones(mags.size, dtype=int)
     running = values[order[0]]
-    running_sums = [running]
     for i in order[1:]:
         if running - values[i] >= 0.0:
             signs[i] = -1
             running -= values[i]
         else:
             running += values[i]
-        running_sums.append(running)
-    return order, signs, running_sums
-
-
-def sign_assignment_trace(magnitudes) -> list[SignStep]:
-    """Full greedy trace: visit order, chosen signs, running sums.
-
-    Entries are visited in strictly decreasing magnitude (ties broken by
-    ascending index).  The first entry gets "+"; each following entry gets
-    "-" if the running sum stays >= 0 after subtraction, else "+".
-    """
-    mags = _checked_magnitudes(magnitudes)
-    order, signs, running_sums = _greedy_signs(mags)
-    values, sign_values = mags.tolist(), signs.tolist()
-    return [
-        SignStep(i + 1, values[i], sign_values[i], running)
-        for i, running in zip(order, running_sums)
-    ]
-
-
-def assign_signs(magnitudes) -> tuple[np.ndarray, int]:
-    """Signs (+1/-1 per entry, table order) and the distinguished index m."""
-    order, signs, _ = _greedy_signs(_checked_magnitudes(magnitudes))
     return signs, order[0] + 1
 
 
 def _off_m_sum(lambdas: np.ndarray, m: int) -> float:
     """The imaginary sum the closing coefficient on m cancels."""
     return math.fsum(np.delete(lambdas, m - 1).tolist())
+
+
+def _checked_stage_inputs(table: TypicalityTable, values, name: str, m: int, c_m=1.0):
+    """values as floats: one finite value per exemplar, m in 1..n, c_m in (0, 1]."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (table.n,) or not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} must be finite, one per exemplar")
+    if not 1 <= m <= table.n:
+        raise ValidationError(f"m must be in 1..{table.n}, got {m}")
+    if not 0.0 < c_m <= 1.0:
+        raise ValidationError(f"c_m must be in (0, 1], got {c_m!r}")
+    return values
 
 
 def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
@@ -252,12 +229,7 @@ def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
     exactly 0 (classically additive data: every deviation vanishes and the
     off-m lambdas cancel, so no interference model is needed).
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    n = table.n
-    if lambdas.shape != (n,) or not np.all(np.isfinite(lambdas)):
-        raise ValidationError("lambdas must be finite, one per exemplar")
-    if not 1 <= m <= n:
-        raise ValidationError(f"m must be in 1..{n}, got {m}")
+    lambdas = _checked_stage_inputs(table, lambdas, "lambdas", m)
     off_sum = _off_m_sum(lambdas, m)
     deviation_m = float(compute_deviations(table)[m - 1])
     product_m = float(table.mu_a[m - 1] * table.mu_b[m - 1])
@@ -298,9 +270,7 @@ def compute_phases(
     |phi_m|.  A zero lambda, or a zero s for m, puts its row on the
     boundary: a phase of exactly 0 or 180 degrees.
     """
-    if not 0.0 < c_m <= 1.0:
-        raise ValidationError(f"c_m must be in (0, 1], got {c_m!r}")
-    lambdas = np.asarray(lambdas, dtype=float)
+    lambdas = _checked_stage_inputs(table, lambdas, "lambdas", m, c_m)
     # + 0.0 turns a -0.0 lambda into +0.0, so a boundary row at d < 0 reads
     # +180 degrees, not -180
     sines = lambdas + 0.0
@@ -325,7 +295,7 @@ def build_state_vectors(
     at m, and the real remainder sqrt(mu_b_m (1 - c_m^2)) in the plane
     coordinate.  Both are unit vectors by construction.
     """
-    beta = np.asarray(beta_deg, dtype=float)
+    beta = _checked_stage_inputs(table, beta_deg, "beta_deg", m, c_m)
     n = table.n
     vector_a = np.zeros(n + 1, dtype=np.complex128)
     vector_a[:n] = np.sqrt(table.mu_a)

@@ -52,13 +52,18 @@ class GaussianField:
         dy = np.asarray(y, dtype=float) - self.center[1]
         return self.peak * np.exp(-(dx * dx + dy * dy) / (2.0 * self.sigma**2))
 
+    @np.errstate(over="ignore", divide="ignore")
     def level_radius(self, fractions) -> np.ndarray:
-        """Radii where intensity falls to each of ``fractions`` of the peak."""
+        """Radii where intensity falls to each of ``fractions`` of the peak;
+        each must be in (0, 1] with a finite reciprocal (above about 5.6e-309)."""
         fractions = np.asarray(fractions, dtype=float)
-        if not ((fractions > 0.0) & (fractions <= 1.0)).all():
-            raise ValidationError(f"fractions must be in (0, 1], got {fractions!r}")
+        inverses = 1.0 / fractions
+        if not ((fractions > 0.0) & (fractions <= 1.0) & np.isfinite(inverses)).all():
+            raise ValidationError(
+                f"fractions must be in (0, 1] with a finite reciprocal: {fractions!r}"
+            )
         # scalar libm log: np.log differs from it in the last ulp on some inputs
-        logs = [*map(math.log, (1.0 / fractions).ravel().tolist())]
+        logs = [*map(math.log, inverses.ravel().tolist())]
         return self.sigma * np.sqrt(2.0 * np.reshape(logs, fractions.shape))
 
 

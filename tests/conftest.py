@@ -2,6 +2,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -12,12 +13,21 @@ from concept_interference import (
     DegeneracyError,
     ExemplarRecord,
     TypicalityTable,
+    assign_signs,
     fruits_vegetables,
     solve,
     validate_and_normalize,
 )
 
 from reference_values import ORACLE_MU_A, ORACLE_MU_AB, ORACLE_MU_B
+
+
+def greedy_trace(magnitudes):
+    """The greedy pass in visit order: 1-based indices, signs, running sums."""
+    mags = np.asarray(magnitudes, dtype=float)
+    signs, _ = assign_signs(mags)
+    order = np.argsort(-mags, kind="stable")
+    return order + 1, signs[order], np.cumsum((signs * mags)[order])
 
 
 def solve_feasible(table):
@@ -46,7 +56,13 @@ def reference_phase(table, k, lambda_k, c_k):
     cosine.  arccos is ill-conditioned near 0 and 180 degrees, so
     compute_phases is checked against it away from there only."""
     a, b, ab = (float(col[k - 1]) for col in (table.mu_a, table.mu_b, table.mu_ab))
-    cosine = (ab - 0.5 * (a + b)) / (c_k * math.sqrt(a * b))
+    average = 0.5 * (a + b)
+    deviation = ab - average
+    # a deviation within 4 eps * average of 0 is rounding of the classical
+    # average and reads 0, as the README states
+    if abs(deviation) <= 4 * sys.float_info.epsilon * average:
+        deviation = 0.0
+    cosine = deviation / (c_k * math.sqrt(a * b))
     angle = math.degrees(math.acos(max(-1.0, min(1.0, cosine))))
     return (-angle if lambda_k < 0.0 else angle), cosine
 

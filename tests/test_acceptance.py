@@ -20,7 +20,6 @@ from concept_interference import (
     ProjectorLayout,
     classify_exemplars,
     compute_lambda_magnitudes,
-    sign_assignment_trace,
     solve,
 )
 from concept_interference.cli import main
@@ -28,6 +27,7 @@ from concept_interference.dataset import fruits_vegetables_csv
 
 from conftest import (
     feasible_tables,
+    greedy_trace,
     make_table,
     reference_probability,
     solve_feasible,
@@ -84,12 +84,10 @@ def test_criterion_2_sign_algorithm_trace(reference_table):
     with criterion(2, "greedy visit order and sign choices match the narrative, m = 19"):
         magnitudes, report = compute_lambda_magnitudes(reference_table)
         assert report.constructible
-        trace = sign_assignment_trace(magnitudes)
-        visited = [reference_table.names[step.index - 1] for step in trace]
-        assert visited == VISIT_ORDER
-        signs = "".join("+" if step.sign > 0 else "-" for step in trace)
-        assert signs == SIGNS_IN_VISIT_ORDER
-        assert trace[0].index == REF_M == 19
+        visited, signs, _ = greedy_trace(magnitudes)
+        assert [reference_table.names[k - 1] for k in visited] == VISIT_ORDER
+        assert "".join("+" if s > 0 else "-" for s in signs) == SIGNS_IN_VISIT_ORDER
+        assert visited[0] == REF_M == 19
 
 
 def test_criterion_3_closing_coefficient(reference_solution):
@@ -203,8 +201,8 @@ def test_criterion_6_model_exactness_properties():
 def test_criterion_7_oracle_dataset(oracle_table):
     with criterion(7, "3-exemplar hand-traced oracle table"):
         magnitudes, _ = compute_lambda_magnitudes(oracle_table)
-        trace = sign_assignment_trace(magnitudes)
-        assert [step.index for step in trace] == ORACLE_VISIT_ORDER
+        visited, _, _ = greedy_trace(magnitudes)
+        assert visited.tolist() == ORACLE_VISIT_ORDER
         solution = solve(oracle_table)
         assert solution.m == ORACLE_M == 1
         assert np.sign(solution.lambdas).tolist() == ORACLE_SIGNS

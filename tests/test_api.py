@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "PlacementMap",
     "ProjectorLayout",
     "RasterGrid",
-    "SignStep",
     "TypicalityTable",
     "ValidationError",
     "VerificationReport",
@@ -44,7 +43,6 @@ PUBLIC_NAMES = [
     "place_exemplars",
     "placements_to_csv",
     "render_grids",
-    "sign_assignment_trace",
     "solve",
     "validate_and_normalize",
     "verify_solution",

@@ -397,6 +397,8 @@ class TestVerifyCommand:
             _edited(lambda report: report["vector_a"].pop()),
             _edited(lambda report: (report["vector_a"].pop(), report["vector_b"].pop())),
             _edited(lambda report: report["exemplars"].pop()),
+            # a JSON number, but no float holds it
+            _edited(lambda report: report["vector_b"][0].update(re=10**400)),
             lambda report: [],
             lambda report: "text",
         ],
@@ -405,6 +407,7 @@ class TestVerifyCommand:
             "short-vector-a",
             "short-vectors",
             "missing-row",
+            "integer-beyond-float",
             "top-level-list",
             "top-level-string",
         ],
@@ -429,8 +432,22 @@ class TestVerifyCommand:
             lambda report: report["exemplars"][0].update(
                 mu_a=repr(report["exemplars"][0]["mu_a"])
             ),
+            lambda report: report["vector_a"][0].update(im=False),
+            lambda report: report["residuals"].update(orthogonality_modulus=False),
+            lambda report: report["residuals"].update(
+                norm_a_error=repr(report["residuals"]["norm_a_error"])
+            ),
         ],
-        ids=["float-m", "string-m", "bool-index", "float-index", "string-mu-a"],
+        ids=[
+            "float-m",
+            "string-m",
+            "bool-index",
+            "float-index",
+            "string-mu-a",
+            "bool-vector-im",
+            "bool-residual",
+            "string-residual",
+        ],
     )
     def test_verify_rejects_wrong_json_types(
         self, dataset_path, tmp_path, capsys, edit

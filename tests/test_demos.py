@@ -27,3 +27,5 @@ def test_demo_runs_clean(script, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    # a warning (say a numpy RuntimeWarning) is printed to stderr
+    assert result.stderr == ""

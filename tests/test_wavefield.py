@@ -106,6 +106,19 @@ class TestFit:
         with pytest.raises(FitError, match="top"):
             fit_gaussian_fields(table)
 
+    @pytest.mark.parametrize("fraction", [1e-320, 5e-309, 0.0, -0.5, 1.5, math.nan])
+    def test_level_radius_rejects_fractions_without_a_finite_radius(self, fraction):
+        # 1 / 1e-320 and 1 / 5e-309 overflow to inf, as 1 / 0 does
+        field = GaussianField((0.0, 0.0), 1.0, 0.5)
+        with pytest.raises(ValidationError, match="finite reciprocal"):
+            field.level_radius([0.5, fraction])
+
+    def test_level_radius_at_the_edge_of_its_domain(self):
+        field = GaussianField((0.0, 0.0), 2.0, 0.5)
+        fractions = [1.0, 0.5, 1e-300, 6e-309]
+        expected = [2.0 * math.sqrt(2.0 * math.log(1.0 / f)) for f in fractions]
+        assert field.level_radius(fractions).tolist() == expected
+
 
 def _circle_intersections(center_a, radius_a, center_b, radius_b):
     """Both intersection points of two circles, or None when they miss.
