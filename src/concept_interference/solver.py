@@ -116,10 +116,12 @@ class ProjectorLayout:
     m: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.m <= self.n:
-            raise ValidationError(f"m must be in 1..{self.n}, got {self.m}")
+        m, n = self.m, self.n
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
+        integer = isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+        if not (integer and 1 <= m <= n):
+            raise ValidationError(f"m must be an integer in 1..{n}, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,7 @@ def _checked_stage_inputs(table: TypicalityTable, values, name: str, m: int, c_m
     values = np.asarray(values, dtype=float)
     if values.shape != (table.n,) or not np.all(np.isfinite(values)):
         raise ValidationError(f"{name} must be finite, one per exemplar")
-    if not 1 <= m <= table.n:
-        raise ValidationError(f"m must be in 1..{table.n}, got {m}")
+    ProjectorLayout(table.n, m)  # the one check of m
     if not 0.0 < c_m <= 1.0:
         raise ValidationError(f"c_m must be in (0, 1], got {c_m!r}")
     return values

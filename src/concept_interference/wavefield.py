@@ -3,9 +3,10 @@
 Each concept becomes an isotropic 2D Gaussian intensity field; exemplars
 are placed where the two fields simultaneously equal their two measured
 probabilities (level-curve intersections); the per-exemplar phases are
-spread over the plane by inverse-distance-squared interpolation; and four
-rasters are rendered per request: the two single-concept fields, their
-classical average, and the interference pattern
+spread over the plane by inverse-distance-squared interpolation (the
+nearest node's phase where those weights fail); and four rasters are
+rendered per request: the two single-concept fields, their classical
+average, and the interference pattern
 
     I(x, y) = (G_A + G_B)/2 + sqrt(G_A * G_B) * cos(phi(x, y))
 
@@ -47,6 +48,7 @@ class GaussianField:
         if not (self.peak > 0.0 and math.isfinite(self.peak)):
             raise FitError(f"peak must be positive, got {self.peak!r}")
 
+    @np.errstate(over="ignore")  # a squared offset past the float range gives 0
     def intensity(self, x, y):
         dx = np.asarray(x, dtype=float) - self.center[0]
         dy = np.asarray(y, dtype=float) - self.center[1]
@@ -69,8 +71,13 @@ class GaussianField:
 
 def _squares(values: np.ndarray) -> np.ndarray:
     """``v ** 2`` of each value, which is libm ``pow``: ``v * v`` differs
-    from it in the last ulp on some inputs."""
-    return np.array([v**2 for v in values.ravel().tolist()]).reshape(values.shape)
+    from it in the last ulp on some inputs.  A square past the float range
+    raises FitError."""
+    try:
+        return np.array([v**2 for v in values.ravel().tolist()]).reshape(values.shape)
+    except OverflowError:
+        largest = float(np.abs(values).max())
+        raise FitError(f"{largest!r} squared leaves the float range") from None
 
 
 class Placement(NamedTuple):
@@ -116,7 +123,11 @@ class PhaseField:
     Exact at every node and clamped to the node extremes, so values never
     leave [min phi_k, max phi_k].  Evaluation is Shepard's interpolation in
     its streaming form: one pass over the nodes adds each node's weight and
-    weighted phase into running planes, so memory is O(H*W) for any n.
+    weighted phase into running planes, so memory is O(H*W) for any n, and
+    x and y may be a grid's sparse axes.  Where the weights fail (their sum
+    is 0 or inf, or the weighted sum is not finite: on a node, within about
+    1e-153 of one, or about 1e154 from all) a point takes its nearest node's
+    value by ``np.hypot``, the first node on ties; NaN stays NaN.
     """
 
     nodes_xy: np.ndarray
@@ -139,39 +150,31 @@ class PhaseField:
     def evaluate(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        d2 = np.empty(shape)
-        dy = np.empty(shape)
-        hit = np.empty(shape, dtype=bool)
-        hit_any = np.zeros(shape, dtype=bool)
-        exact = np.zeros(shape)
-        # both sums start from +0.0 and add node after node, as a numpy sum
-        # over a leading node axis does (so all -0.0 terms sum to +0.0)
-        num = np.zeros(shape)
-        den = np.zeros(shape)
-        nodes = zip(self.nodes_xy.tolist(), self.values_deg.tolist())
-        # exact hits zero every weight at a single-node field; the blended
-        # value is discarded there, so silence the 0/0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for (node_x, node_y), value in nodes:
-                np.subtract(x, node_x, out=d2)
-                np.multiply(d2, d2, out=d2)
-                np.subtract(y, node_y, out=dy)
-                np.multiply(dy, dy, out=dy)
-                np.add(d2, dy, out=d2)
-                np.equal(d2, 0.0, out=hit)
-                if hit.any():
-                    # the first node hit keeps the pixel; a hit weighs 0
-                    exact[hit & ~hit_any] = value
-                    hit_any |= hit
-                    d2[hit] = np.inf
-                weight = np.divide(1.0, d2, out=d2)
+        # the offsets keep x's and y's own shapes, d2 and the sums the shape
+        # they broadcast to; both sums start from +0.0 and add node after node,
+        # as a numpy sum over a leading node axis does (all -0.0 terms sum to +0.0)
+        dx, dy = np.empty(x.shape), np.empty(y.shape)
+        d2, num, den = (np.zeros(np.broadcast(x, y).shape) for _ in range(3))
+        nodes, values = self.nodes_xy.tolist(), self.values_deg.tolist()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for (node_x, node_y), value in zip(nodes, values):
+                np.multiply(np.subtract(x, node_x, out=dx), dx, out=dx)
+                np.multiply(np.subtract(y, node_y, out=dy), dy, out=dy)
+                weight = np.divide(1.0, np.add(dx, dy, out=d2), out=d2)
                 den += weight
                 weight *= value
                 num += weight
+            fail = ((den == 0.0) | np.isinf(den) | ~np.isfinite(num)) & ~np.isnan(den)
             num /= den
-        out = np.where(hit_any, exact, num)
-        return np.clip(out, self.values_deg.min(), self.values_deg.max())
+        if fail.any():
+            px, py = (c[fail] for c in np.broadcast_arrays(x, y))
+            best, nearest = np.full(px.shape, np.inf), np.full(px.shape, values[0])
+            for (node_x, node_y), value in zip(nodes, values):
+                distance = np.hypot(px - node_x, py - node_y)
+                nearest[distance < best] = value
+                np.minimum(best, distance, out=best)
+            num[fail] = nearest
+        return np.clip(num, self.values_deg.min(), self.values_deg.max())
 
 
 @dataclass(frozen=True)
@@ -281,12 +284,15 @@ def place_exemplars(
     do not intersect, the point on the center line minimizing the sum of
     squared radial violations is used and the residual records that sum.
     A non-top exemplar whose fraction of a peak has no finite level radius
-    (0, or so small that its reciprocal overflows) raises ValidationError.
+    (0, or so small that its reciprocal overflows) raises ValidationError;
+    a square (of d, a level radius) past the float range raises FitError.
     """
     (ax, ay), (bx, by) = (map(float, field.center) for field in (field_a, field_b))
     d = math.hypot(bx - ax, by - ay)
     if d == 0.0:
         raise FitError("centers must be distinct")
+    if not math.isfinite(d * d):
+        raise FitError(f"center distance {d!r} squared leaves the float range")
     ux, uy = (bx - ax) / d, (by - ay) / d
     mu_a, mu_b, n = table.mu_a, table.mu_b, table.n
     top_a, top_b = int(mu_a.argmax()), int(mu_b.argmax())
@@ -387,23 +393,16 @@ def render_grids(
 
     xs = x_min + (np.arange(width) + 0.5) * ((x_max - x_min) / width)
     ys = y_max - (np.arange(height) + 0.5) * ((y_max - y_min) / height)
-    grid_x, grid_y = np.meshgrid(xs, ys)
+    grid_x, grid_y = np.meshgrid(xs, ys, sparse=True)
 
-    intensity_a = field_a.intensity(grid_x, grid_y)
-    intensity_b = field_b.intensity(grid_x, grid_y)
+    intensity_a, intensity_b = (f.intensity(grid_x, grid_y) for f in (field_a, field_b))
     classical = 0.5 * (intensity_a + intensity_b)
     modulation = np.sqrt(intensity_a * intensity_b)
     interference = classical + modulation * cos_deg(phase.evaluate(grid_x, grid_y))
-
-    def grid(values: np.ndarray) -> RasterGrid:
-        return RasterGrid(width, height, x_min, x_max, y_min, y_max, values)
-
-    return {
-        "a_only": grid(intensity_a),
-        "b_only": grid(intensity_b),
-        "classical": grid(classical),
-        "interference": grid(interference),
-    }
+    planes = {"a_only": intensity_a, "b_only": intensity_b,
+              "classical": classical, "interference": interference}
+    return {name: RasterGrid(width, height, x_min, x_max, y_min, y_max, values)
+            for name, values in planes.items()}
 
 
 def grid_to_csv(grid: RasterGrid) -> str:

@@ -600,6 +600,39 @@ class TestRenderCommand:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--window=-1e-155,1e-155,-1e-155,1e-155",  # around the node at (0, 0)
+            "--window=1e200,2e200,1e200,2e200",  # far from every node
+            "--centers=0,0,1e-160,0",  # two nodes 1e-160 apart
+        ],
+        ids=["tiny-window", "far-window", "close-centers"],
+    )
+    def test_edge_of_the_plane_renders_no_nan(self, dataset_path, tmp_path, flag):
+        out_dir = tmp_path / "edge"
+        assert main(["render", str(dataset_path), "-o", str(out_dir),
+                     "--resolution", "4", flag]) == 0
+        for path in out_dir.glob("*.csv"):
+            assert "nan" not in path.read_text().lower(), path.name
+        if "1e200" in flag:
+            assert (out_dir / "interference.csv").read_bytes() == (
+                out_dir / "classical.csv"
+            ).read_bytes()
+
+    def test_overflowing_center_distance_exits_1(self, dataset_path, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "concept_interference.cli", "render",
+             str(dataset_path), "-o", str(tmp_path / "x"), "--centers=0,0,1e160,0"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: center distance 1e+160 squared leaves the float range\n"
+        )
+        assert not (tmp_path / "x").exists()
+
     def test_bad_centers_exit_1(self, dataset_path, tmp_path, capsys):
         status = main(
             ["render", str(dataset_path), "-o", str(tmp_path / "x"),

@@ -337,6 +337,28 @@ def test_stages_reject_malformed_inputs(reference_table, reference_solution, sta
         stage(reference_table, reference_solution)
 
 
+@pytest.mark.parametrize(
+    "m", [2.5, 19.0, True, np.True_], ids=["half", "float", "bool", "numpy-bool"]
+)
+def test_m_must_be_an_integer_exemplar_index(reference_table, reference_solution, m):
+    table, s = reference_table, reference_solution
+    stages = [
+        lambda: compute_cm(table, s.lambdas, m),
+        lambda: compute_phases(table, s.lambdas, m, s.c_m),
+        lambda: build_state_vectors(table, m, s.c_m, s.beta_deg),
+        lambda: measure_residuals(s.vector_a, s.vector_b, table, ProjectorLayout(24, m)),
+    ]
+    for stage in stages:
+        with pytest.raises(ValidationError, match=r"m must be an integer in 1\.\.24, got"):
+            stage()
+
+
+def test_numpy_integer_m_is_an_exemplar_index(reference_table, reference_solution):
+    m = np.int64(reference_solution.m)
+    assert compute_cm(reference_table, reference_solution.lambdas, m) == reference_solution.c_m
+    assert ProjectorLayout(24, m).m == m
+
+
 class TestVerification:
     def test_reference_residuals_tiny(self, reference_solution):
         residuals = reference_solution.residuals

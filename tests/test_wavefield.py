@@ -106,6 +106,12 @@ class TestFit:
         with pytest.raises(FitError, match="top"):
             fit_gaussian_fields(table)
 
+    def test_intensity_past_the_float_range_is_zero(self):
+        # the squared offset overflows to inf, and exp(-inf) is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert GaussianField((0.0, 0.0), 1.0, 1.0).intensity(1e200, 0.0) == 0.0
+
     @pytest.mark.parametrize("fraction", [1e-320, 5e-309, 0.0, -0.5, 1.5, math.nan])
     def test_level_radius_rejects_fractions_without_a_finite_radius(self, fraction):
         # 1 / 1e-320 and 1 / 5e-309 overflow to inf, as 1 / 0 does
@@ -373,6 +379,21 @@ class TestPlacement:
         with pytest.raises(FitError, match="centers must be distinct"):
             place_exemplars(table, field_a, field_b)
 
+    @pytest.mark.parametrize(
+        "center_b, sigma, message",
+        [
+            ((1e160, 0.0), 1.0, r"^center distance 1e\+160 squared leaves the float range$"),
+            ((1.0, 0.0), 1e160, r"^[0-9.e+]+ squared leaves the float range$"),
+        ],
+        ids=["center-distance", "level-radius"],
+    )
+    def test_squares_past_the_float_range_raise_fit_error(self, center_b, sigma, message):
+        table = make_table([0.5, 0.2, 0.3], [0.2, 0.5, 0.3], [0.35, 0.35, 0.3])
+        field_a = GaussianField((0.0, 0.0), sigma, 0.5)
+        field_b = GaussianField(center_b, sigma, 0.5)
+        with pytest.raises(FitError, match=message):
+            place_exemplars(table, field_a, field_b)
+
     def test_zero_marginal_named(self):
         table = parse_table(
             "exemplar,mu_a,mu_b,mu_ab\n"
@@ -424,21 +445,24 @@ def _reference_phase(field, x, y):
     """The phase field as one broadcast expression over every node at once.
 
     This is the n x H x W formula the streaming ``PhaseField.evaluate``
-    replaced, kept here as its bit-exact reference.
+    replaced, kept here as its bit-exact reference.  Where the weights fail
+    (their sum is 0 or inf, or the weighted sum is not finite) a point with
+    no NaN coordinate takes its nearest node's value by ``np.hypot``, the
+    first node on ties.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = x[None, ...] - field.nodes_xy[:, 0].reshape((-1,) + (1,) * x.ndim)
     dy = y[None, ...] - field.nodes_xy[:, 1].reshape((-1,) + (1,) * y.ndim)
-    d2 = dx * dx + dy * dy
-    hit = d2 == 0.0
-    weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, d2))
-    shape = (-1,) + (1,) * x.ndim
-    with np.errstate(invalid="ignore", divide="ignore"):
-        blended = (weights * field.values_deg.reshape(shape)).sum(axis=0)
-        blended /= weights.sum(axis=0)
-    exact = field.values_deg[hit.argmax(axis=0)]
-    out = np.where(hit.any(axis=0), exact, blended)
+    shape = (-1,) + (1,) * max(x.ndim, y.ndim)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weights = 1.0 / (dx * dx + dy * dy)
+        num = (weights * field.values_deg.reshape(shape)).sum(axis=0)
+        den = weights.sum(axis=0)
+        blended = num / den
+    fail = ((den == 0.0) | np.isinf(den) | ~np.isfinite(num)) & ~np.isnan(den)
+    nearest = field.values_deg[np.hypot(dx, dy).argmin(axis=0)]
+    out = np.where(fail, nearest, blended)
     return np.clip(out, field.values_deg.min(), field.values_deg.max())
 
 
@@ -528,13 +552,27 @@ class TestPhaseField:
             np.meshgrid(xs, ys),
             (xs[None, :], ys[:, None]),
         ]
-        # a subnormal squared distance overflows its weight in both forms
-        with np.errstate(over="ignore"):
-            for x, y in inputs:
-                got = np.asarray(field.evaluate(x, y))
-                want = np.asarray(_reference_pixelwise(field, x, y))
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        for x, y in inputs:
+            got = np.asarray(field.evaluate(x, y))
+            want = np.asarray(_reference_pixelwise(field, x, y))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_nearest_node_where_the_weights_fail(self):
+        field = PhaseField(np.array([[0.0, 2.8e-158], [0.0, 1e-154], [1.0, 0.0]]),
+                           np.array([-30.0, 45.0, 60.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the weight 1 / 7.8e-316 overflows
+            assert field.evaluate(0.0, 0.0) == -30.0
+            # the weights 1e308 and 2.5e307 are finite, but 45 and -30 times
+            # them overflow to inf and -inf
+            assert field.evaluate(0.0, 2e-154) == 45.0
+            # every weight underflows to 0; each node is 1e200 away in
+            # floats, so the first one wins the tie
+            assert field.evaluate(1e200, 0.0) == -30.0
+            assert np.isnan(field.evaluate(math.nan, 0.0))
+            assert np.isnan(field.evaluate(np.array([[0.0, math.nan]]), 1.0)[0, 1])
 
     def test_memory_does_not_grow_with_nodes(self):
         xs = np.linspace(-1.0, 1.0, 64)
@@ -605,6 +643,19 @@ class TestRenderGrids:
         assert np.allclose(
             grids["interference"].values, amplitude_sum, atol=1e-12
         )
+
+    def test_peak_memory_below_ten_planes(
+        self, reference_table, reference_fields, reference_placements
+    ):
+        phase = interpolate_phase(reference_placements, solve(reference_table).phi_deg)
+        window = default_window(reference_placements, *reference_fields)
+        tracemalloc.start()
+        try:
+            render_grids(*reference_fields, phase, window, (400, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 400 * 400 * 8
 
     def test_single_fields_sum_to_twice_classical(self, reference_render):
         total = reference_render["a_only"].values + reference_render["b_only"].values
