@@ -348,6 +348,8 @@ def _run_classify(args) -> int:
         return _infeasible(error)
     labels = np.array([label.value for _, label in classify_exemplars(solution)])
     cos_phi = np.cos(np.radians(solution.phi_deg))
+    phi_deg, deviations = solution.phi_deg.tolist(), solution.deviations.tolist()
+    lines = []
     # Strongest interference effect first: most negative cosine heads the
     # weakening list, most positive heads the strengthening list; ties and
     # the classical list go by index.
@@ -361,14 +363,14 @@ def _run_classify(args) -> int:
             continue
         if key is not None:
             rows = rows[np.argsort(key[rows], kind="stable")]
-        print(f"{title} ({rows.size} exemplar(s)):")
-        for i in rows.tolist():
-            print(
-                f"  {table.names[i]:<16} phi = {solution.phi_deg[i]:>10.4f} deg"
-                f"   deviation = {solution.deviations[i]:+.4f}"
-            )
-    for note in table.notes:
-        print(f"note: {note}")
+        lines.append(f"{title} ({rows.size} exemplar(s)):")
+        lines += (
+            f"  {table.names[i]:<16} phi = {phi_deg[i]:>10.4f} deg"
+            f"   deviation = {deviations[i]:+.4f}"
+            for i in rows.tolist()
+        )
+    lines += (f"note: {note}" for note in table.notes)
+    print("\n".join(lines))
     return EXIT_OK
 
 

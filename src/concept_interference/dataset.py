@@ -183,9 +183,29 @@ def _read_row(line: str, line_number: int) -> tuple[str, float, float, float]:
     return (row[0], *values)
 
 
-def _table_at_lines(rows, line_numbers, **metadata) -> TypicalityTable:
-    """The table of the CSV data rows, a row problem reported at its line."""
-    records = ((k, *row) for k, row in enumerate(rows, start=1))
+def _read_records(data: list[str]):
+    """The ``(index, name, mu_a, mu_b, mu_ab)`` records of the CSV data lines,
+    read by one ``csv.reader``, each column converted by one ``map(float,
+    ...)``; None where that read cannot stand for the line-by-line one: a
+    quote left open runs into the next line (so the reader yields fewer rows
+    than lines), or a row is not 4 fields, a cell not a number, or the csv
+    module raises."""
+    try:
+        rows = list(csv.reader(data))
+    except csv.Error:
+        return None
+    if len(rows) != len(data) or {*map(len, rows)} != {4}:
+        return None
+    names, *cells = zip(*rows)
+    try:
+        columns = [[*map(float, column)] for column in cells]
+    except ValueError:
+        return None
+    return zip(range(1, len(rows) + 1), names, *columns)
+
+
+def _table_at_lines(records, line_numbers, **metadata) -> TypicalityTable:
+    """The table of the CSV data records, a row problem reported at its line."""
     try:
         return TypicalityTable(records, **metadata)
     except ValidationError as exc:
@@ -232,16 +252,19 @@ def parse_table(source: str | TextIO) -> TypicalityTable:
     del data[0], numbers[0]
     if not data:
         raise ValidationError("table has no exemplar rows")
-    rows = []
-    for line, line_number in zip(data, numbers):
-        try:
-            rows.append(_read_row(line, line_number))
-        except ParseError:
-            # a bad row above goes first; duplicate names count once all are read
-            with contextlib.suppress(ValidationError):
-                _table_at_lines(rows, numbers)
-            raise
-    return _table_at_lines(rows, numbers, notes=notes, **labels)
+    records = _read_records(data)
+    if records is None:
+        # the error and edge path: line by line, the first bad line reported
+        records = []
+        for line, line_number in zip(data, numbers):
+            try:
+                records.append((len(records) + 1, *_read_row(line, line_number)))
+            except ParseError:
+                # a bad row above goes first; duplicate names count once all are read
+                with contextlib.suppress(ValidationError):
+                    _table_at_lines(records, numbers)
+                raise
+    return _table_at_lines(records, numbers, notes=notes, **labels)
 
 
 def validate_and_normalize(

@@ -237,12 +237,17 @@ def fit_gaussian_fields(
     Field A peaks at center_a with height max(mu_a) so its top exemplar
     sits exactly at the center, and its width is fixed by the closed-form
     requirement that the field at center_b equals mu_a of B's top exemplar;
-    field B symmetrically.  Requires distinct centers and distinct top
-    exemplars.
+    field B symmetrically.  Requires finite, distinct centers a finite
+    distance apart, and distinct top exemplars.
     """
     ax, ay = float(center_a[0]), float(center_a[1])
     bx, by = float(center_b[0]), float(center_b[1])
     distance = math.hypot(bx - ax, by - ay)
+    if not all(map(math.isfinite, (ax, ay, bx, by, distance))):
+        raise FitError(
+            f"centers ({ax!r}, {ay!r}) and ({bx!r}, {by!r}) must be finite "
+            f"and a finite distance apart (distance {distance!r})"
+        )
     if distance == 0.0:
         raise FitError("centers must be distinct")
     mu_a, mu_b = table.mu_a, table.mu_b
@@ -285,7 +290,9 @@ def place_exemplars(
     squared radial violations is used and the residual records that sum.
     A non-top exemplar whose fraction of a peak has no finite level radius
     (0, or so small that its reciprocal overflows) raises ValidationError;
-    a square (of d, a level radius) past the float range raises FitError.
+    a square (of d, a level radius) past the float range, or the sum
+    r_a^2 - r_b^2 + d^2 that places an exemplar on meeting circles, raises
+    FitError.
     """
     (ax, ay), (bx, by) = (map(float, field.center) for field in (field_a, field_b))
     d = math.hypot(bx - ax, by - ay)
@@ -317,7 +324,8 @@ def place_exemplars(
     # or below is -0.0, the one input where np.maximum and np.minimum part
     # from Python's max and min.
     square_a = _squares(radius_a)
-    along = (square_a - _squares(radius_b) + d * d) / (2.0 * d)
+    along_2d = square_a - _squares(radius_b) + d * d  # r_a^2 - r_b^2 + d^2
+    along = along_2d / (2.0 * d)
     lateral = np.sqrt(np.maximum(square_a - along * along, 0.0))
     lateral[1::2] *= -1.0
     x = ax + along * ux + lateral * uy
@@ -327,6 +335,13 @@ def place_exemplars(
     # circles that miss: the least violation among five points t on the
     # center line
     miss = free & ((d > radius_a + radius_b) | (d < np.abs(radius_a - radius_b)))
+    # the squares are finite, so only their sum can leave the float range
+    if (overflow := free & ~miss & np.isinf(along_2d)).any():
+        k = int(overflow.argmax())
+        raise FitError(
+            f"exemplar {k + 1} ({table.names[k]}): r_a^2 - r_b^2 + d^2 of its "
+            "level circles leaves the float range"
+        )
     ra, rb = radius_a[miss], radius_b[miss]
     t = np.array([
         np.minimum(np.maximum((ra + d - rb) / 2.0, 0.0), d),  # between the centers

@@ -633,6 +633,27 @@ class TestRenderCommand:
         )
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--centers=0,0,1e154,0", "--window=0,1e154,-1e154,1e154"],
+            ["--centers=0,0,1e154,0"],
+        ],
+        ids=["own-window", "default-window"],
+    )
+    def test_far_centers_exit_1_naming_the_exemplar(
+        self, dataset_path, tmp_path, capsys, flags
+    ):
+        out_dir = tmp_path / "far"
+        status = main(["render", str(dataset_path), "-o", str(out_dir),
+                       "--resolution", "4", *flags])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: exemplar 15 (Watercress): r_a^2 - r_b^2 + d^2 of its level "
+            "circles leaves the float range\n"
+        )
+        assert not out_dir.exists()
+
     def test_bad_centers_exit_1(self, dataset_path, tmp_path, capsys):
         status = main(
             ["render", str(dataset_path), "-o", str(tmp_path / "x"),

@@ -18,6 +18,7 @@ from concept_interference import (
 )
 
 from conftest import make_table
+from reference_parser import reference_parse_table
 from reference_values import RAW_COLUMN_SUMS, RAW_ROWS
 
 
@@ -110,6 +111,29 @@ class TestParse:
         with pytest.raises(ParseError) as excinfo:
             parse_table(text)
         assert str(excinfo.value) == f"line {line}: " + message.format(k=position)
+        assert excinfo.value.line_number == line
+
+    def test_open_quote_in_the_last_cell_reads_to_its_line_end(self):
+        text = 'exemplar,mu_a,mu_b,mu_ab\nApple,0.1,0.2,"0.3\nPear,0.4,0.5,0.6\n'
+        table = parse_table(text)
+        assert table.names == ("Apple", "Pear")
+        assert table.mu_ab.tolist() == [0.3, 0.6]
+        assert table == reference_parse_table(text)
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (['"Apple,0.1,0.2,0.3', "Pear,0.4,0.5,0.6"], 2, "expected 4 fields, got 1"),
+            # read as one row the two lines would be Apple with mu_ab = 0.25
+            (['Apple,0.1,0.2,"0.2', "5"], 3, "expected 4 fields, got 1"),
+        ],
+        ids=["open-quote-name", "open-quote-value"],
+    )
+    def test_open_quote_never_joins_the_next_line(self, rows, line, message):
+        text = "exemplar,mu_a,mu_b,mu_ab\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_table(text)
+        assert str(excinfo.value) == f"line {line}: {message}"
         assert excinfo.value.line_number == line
 
     def test_duplicate_name_after_comments_keeps_its_text(self):
@@ -260,6 +284,54 @@ def small_tables(draw):
 @settings(max_examples=120)
 def test_csv_round_trip(table):
     assert parse_table(_render_csv(table)) == table
+
+
+# quotes, separators, the comment and label markers, numbers, letters,
+# spaces and line breaks: the characters a CSV table can go wrong with
+_CSV_ALPHABET = '",#:0123456789.e-abnxAB \r\n'
+_GOOD_CELLS = ["0.25", "0.5", "0", "1", "1e-3", " 0.5 ", '"0.5"']
+_BAD_CELLS = ['"0.5', "2", "nan", "-0.5"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A header, rows and now and then a stray line.  One draw in ten of a
+    name or a cell, and of the header, is a bad one, so many texts are
+    tables and the rest go wrong in every way the alphabet allows."""
+    text = st.text(_CSV_ALPHABET, max_size=30)
+
+    def pick(good, bad):
+        return draw(good if draw(st.integers(0, 9)) else bad)
+
+    names = st.text("abxAB", min_size=1, max_size=3)
+    bad_names = st.text('abxAB#" ,', min_size=1, max_size=3)
+    cells = st.sampled_from(_GOOD_CELLS)
+    bad_cells = st.one_of(st.sampled_from(_BAD_CELLS), text)
+    lines = [
+        ",".join([pick(names, bad_names), *(pick(cells, bad_cells) for _ in range(3))])
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    for _ in range(draw(st.integers(0, 4)) // 3):
+        lines.insert(draw(st.integers(0, len(lines))), draw(text))
+    header = st.sampled_from(["exemplar,mu_a,mu_b,mu_ab", " exemplar ,mu_a,mu_b,mu_ab"])
+    bad_header = st.one_of(st.sampled_from(['"exemplar",mu_a,mu_ab', ""]), text)
+    lines.insert(0, pick(header, bad_header))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def _parse_outcome(parse, text):
+    """The table ``parse`` reads from ``text``, or its exception's type,
+    message and line number."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+@given(csv_texts())
+@settings(max_examples=400)
+def test_parse_matches_the_line_by_line_reference(text):
+    assert _parse_outcome(parse_table, text) == _parse_outcome(reference_parse_table, text)
 
 
 @st.composite

@@ -101,6 +101,23 @@ class TestFit:
         with pytest.raises(FitError, match="distinct"):
             fit_gaussian_fields(reference_table, (1.0, 1.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "center_a, center_b, distance",
+        [
+            ((0.0, 0.0), (math.inf, 0.0), "inf"),
+            ((math.nan, 0.0), (1.0, 0.0), "nan"),
+            ((1e308, 0.0), (-1e308, 0.0), "inf"),  # the distance overflows
+        ],
+        ids=["infinite-center", "nan-center", "overflowing-distance"],
+    )
+    def test_non_finite_centers_named(self, reference_table, center_a, center_b, distance):
+        with pytest.raises(FitError) as excinfo:
+            fit_gaussian_fields(reference_table, center_a, center_b)
+        assert str(excinfo.value) == (
+            f"centers {center_a!r} and {center_b!r} must be finite and a finite "
+            f"distance apart (distance {distance})"
+        )
+
     def test_shared_top_exemplar_rejected(self):
         table = make_table([0.6, 0.4], [0.6, 0.4], [0.5, 0.5])
         with pytest.raises(FitError, match="top"):
@@ -393,6 +410,17 @@ class TestPlacement:
         field_b = GaussianField(center_b, sigma, 0.5)
         with pytest.raises(FitError, match=message):
             place_exemplars(table, field_a, field_b)
+
+    def test_overflowing_level_circle_sum_names_the_exemplar(self, reference_table):
+        # both squared radii and d^2 are finite, but r_a^2 - r_b^2 + d^2 is not;
+        # Watercress's circles meet, so its place along the center line would be inf
+        fields = fit_gaussian_fields(reference_table, (0.0, 0.0), (1e154, 0.0))
+        message = (
+            r"^exemplar 15 \(Watercress\): r_a\^2 - r_b\^2 \+ d\^2 of its level "
+            r"circles leaves the float range$"
+        )
+        with pytest.raises(FitError, match=message):
+            place_exemplars(reference_table, *fields)
 
     def test_zero_marginal_named(self):
         table = parse_table(
