@@ -160,48 +160,26 @@ class TypicalityTable:
         return {name: math.fsum(getattr(self, name).tolist()) for name in _COLUMN_FIELDS}
 
 
-def _read_line(line: str, line_number: int) -> list[str]:
+def _reader_fields(line: str) -> list[str] | csv.Error:
+    """The fields ``csv.reader`` reads from one line, or the error it raises."""
     try:
         return next(csv.reader([line]))
     except csv.Error as exc:
-        raise ParseError(f"unparseable CSV row: {exc}", line_number) from exc
+        return exc
 
 
-def _read_row(line: str, line_number: int) -> tuple[str, float, float, float]:
-    """The name and the three values of one CSV data line."""
-    row = _read_line(line, line_number)
-    if len(row) != 4:
-        raise ParseError(f"expected 4 fields, got {len(row)}", line_number)
-    values = []
-    for field, cell in zip(_COLUMN_FIELDS, row[1:]):
+def _row_problem(fields: list[str] | csv.Error) -> str | None:
+    """Why one line's fields are not a name and three numbers, or None."""
+    if isinstance(fields, csv.Error):
+        return f"unparseable CSV row: {fields}"
+    if len(fields) != 4:
+        return f"expected 4 fields, got {len(fields)}"
+    for field, cell in zip(_COLUMN_FIELDS, fields[1:]):
         try:
-            values.append(float(cell))
-        except ValueError as exc:
-            raise ParseError(
-                f"non-numeric {field} value {cell.strip()!r}", line_number
-            ) from exc
-    return (row[0], *values)
-
-
-def _read_records(data: list[str]):
-    """The ``(index, name, mu_a, mu_b, mu_ab)`` records of the CSV data lines,
-    read by one ``csv.reader``, each column converted by one ``map(float,
-    ...)``; None where that read cannot stand for the line-by-line one: a
-    quote left open runs into the next line (so the reader yields fewer rows
-    than lines), or a row is not 4 fields, a cell not a number, or the csv
-    module raises."""
-    try:
-        rows = list(csv.reader(data))
-    except csv.Error:
-        return None
-    if len(rows) != len(data) or {*map(len, rows)} != {4}:
-        return None
-    names, *cells = zip(*rows)
-    try:
-        columns = [[*map(float, column)] for column in cells]
-    except ValueError:
-        return None
-    return zip(range(1, len(rows) + 1), names, *columns)
+            float(cell)
+        except ValueError:
+            return f"non-numeric {field} value {cell.strip()!r}"
+    return None
 
 
 def _table_at_lines(records, line_numbers, **metadata) -> TypicalityTable:
@@ -245,25 +223,36 @@ def parse_table(source: str | TextIO) -> TypicalityTable:
     header = ",".join(CSV_HEADER)
     if not data:
         raise ParseError(f"missing header line {header!r}")
-    if tuple(cell.strip() for cell in _read_line(data[0], numbers[0])) != CSV_HEADER:
+    # each line on its own: one with no quote or NUL that fits the field size
+    # limit is its split at the commas, which is what csv.reader gives for it
+    limit = csv.field_size_limit()
+    fields, *rows = [
+        line.split(",")
+        if '"' not in line and "\0" not in line and len(line) <= limit
+        else _reader_fields(line)
+        for line in data
+    ]
+    if isinstance(fields, csv.Error):
+        raise ParseError(_row_problem(fields), numbers[0])
+    if tuple(cell.strip() for cell in fields) != CSV_HEADER:
         raise ParseError(
             f"expected header {header!r}, got {data[0].strip()!r}", numbers[0]
         )
-    del data[0], numbers[0]
-    if not data:
+    del numbers[0]
+    if not rows:
         raise ValidationError("table has no exemplar rows")
-    records = _read_records(data)
-    if records is None:
-        # the error and edge path: line by line, the first bad line reported
-        records = []
-        for line, line_number in zip(data, numbers):
-            try:
-                records.append((len(records) + 1, *_read_row(line, line_number)))
-            except ParseError:
-                # a bad row above goes first; duplicate names count once all are read
-                with contextlib.suppress(ValidationError):
-                    _table_at_lines(records, numbers)
-                raise
+    try:
+        names, *cells = zip(*rows, strict=True)
+        mu_a, mu_b, mu_ab = ([*map(float, column)] for column in cells)
+    except (TypeError, ValueError):
+        # the first line that is not a name and three numbers, after any
+        # problem in a row above it; duplicate names count once all are read
+        problems = map(_row_problem, rows)
+        k, problem = next((k, p) for k, p in enumerate(problems) if p)
+        with contextlib.suppress(ValidationError):
+            _table_at_lines(((i, *row) for i, row in enumerate(rows[:k], 1)), numbers)
+        raise ParseError(problem, numbers[k]) from None
+    records = zip(range(1, len(rows) + 1), names, mu_a, mu_b, mu_ab)
     return _table_at_lines(records, numbers, notes=notes, **labels)
 
 

@@ -24,7 +24,8 @@ reproduces the mu_ab column exactly.  The construction runs in stages:
                     exemplar k's interference term (d_k, lambda_k) =
                     c_k sqrt(mu_a_k mu_b_k) (cos phi_k, sin phi_k), and
                     phi_m = atan2(|sum of the off-m lambdas|, d_m);
-                    beta_k = phi_k except beta_m = |phi_m|;
+                    beta_k = phi_k, bitwise (phi_m lies in [+0, 180]
+                    degrees, so it is its own |phi_m|);
 6. vectors          |A> real with coordinates sqrt(mu_a_k) and 0 in the
                     extra plane coordinate; |B> with coordinates
                     e^(i beta_k) sqrt(mu_b_k), scaled by c_m at m, and
@@ -267,8 +268,9 @@ def compute_phases(
     lambda_k) = c_k sqrt(mu_a_k mu_b_k) (cos phi_k, sin phi_k): phi_k =
     atan2(lambda_k, d_k) for k != m, and phi_m = atan2(|s|, d_m), where s
     is the off-m lambda sum that exemplar m's term cancels (its scale c_m
-    sqrt(mu_a_m mu_b_m) drops out).  beta equals phi except beta_m =
-    |phi_m|.  A zero lambda, or a zero s for m, puts its row on the
+    sqrt(mu_a_m mu_b_m) drops out).  beta is a copy of phi, bitwise: the
+    model's beta_m = |phi_m| is phi_m itself, since atan2(|s|, d_m) lies in
+    [+0, 180] degrees.  A zero lambda, or a zero s for m, puts its row on the
     boundary: a phase of exactly 0 or 180 degrees.
     """
     lambdas = _checked_stage_inputs(table, lambdas, "lambdas", m, c_m)
@@ -281,9 +283,7 @@ def compute_phases(
         math.degrees(math.atan2(y, x))
         for y, x in zip(sines.tolist(), compute_deviations(table).tolist())
     ])
-    beta = phi.copy()
-    beta[m - 1] = abs(beta[m - 1])
-    return phi, beta
+    return phi, phi.copy()
 
 
 def build_state_vectors(

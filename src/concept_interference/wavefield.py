@@ -375,11 +375,19 @@ def default_window(
     field_b: GaussianField,
 ) -> tuple[float, float, float, float]:
     """Bounding box of the placements padded by DEFAULT_WINDOW_PADDING *
-    max(sigma)."""
+    max(sigma).  Raises FitError when the padding is below the float spacing
+    of the placements, so that the padded window is empty."""
     x, y = placements.x, placements.y
     pad = DEFAULT_WINDOW_PADDING * max(field_a.sigma, field_b.sigma)
-    return (float(x.min() - pad), float(x.max() + pad),
-            float(y.min() - pad), float(y.max() + pad))
+    x_min, x_max, y_min, y_max = map(float, (x.min(), x.max(), y.min(), y.max()))
+    window = (x_min - pad, x_max + pad, y_min - pad, y_max + pad)
+    if not (window[0] < window[1] and window[2] < window[3]):
+        raise FitError(
+            f"the placements span x [{x_min!r}, {x_max!r}] and y [{y_min!r}, "
+            f"{y_max!r}]; padding them by {pad!r} leaves an empty window at "
+            "float precision, so pass --window"
+        )
+    return window
 
 
 def render_grids(

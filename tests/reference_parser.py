@@ -1,9 +1,10 @@
-"""The line-by-line CSV parser that ``dataset.parse_table`` replaced.
+"""The line-by-line CSV parser kept as the reference for ``dataset.parse_table``.
 
-Kept as the reference for the one-pass reader: every text, well formed or
-not, must give an equal table, or the same exception type, message and line
-number, from both.  Each data line goes through its own ``csv.reader`` and
-its cells are converted one at a time.
+Each line, the header included, goes through its own ``csv.reader`` and its
+cells are converted one at a time.  ``parse_table`` splits the lines that
+need no reader at their commas and converts each column in one pass; every
+text, well formed or not, must give an equal table, or the same exception
+type, message and line number, from both.
 """
 
 from __future__ import annotations

@@ -654,6 +654,18 @@ class TestRenderCommand:
         )
         assert not out_dir.exists()
 
+    def test_centers_past_the_padding_spacing_need_a_window(
+        self, dataset_path, tmp_path, capsys
+    ):
+        far = ["render", str(dataset_path), "--resolution", "4",
+               "--centers=1e300,0,1e300,10"]
+        assert main([*far, "-o", str(tmp_path / "x")]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: the placements span x [1e+300, 1e+300]")
+        assert "padding them by 9.7" in error and "pass --window" in error
+        assert not (tmp_path / "x").exists()
+        assert main([*far, "-o", str(tmp_path / "y"), "--window=-1,1,-1,1"]) == 0
+
     def test_bad_centers_exit_1(self, dataset_path, tmp_path, capsys):
         status = main(
             ["render", str(dataset_path), "-o", str(tmp_path / "x"),

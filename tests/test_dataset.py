@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +136,36 @@ class TestParse:
             parse_table(text)
         assert str(excinfo.value) == f"line {line}: {message}"
         assert excinfo.value.line_number == line
+
+    @pytest.mark.parametrize(
+        "line, name",
+        [
+            ('"Tomato, ""cherry""",0.5,0.25,0.25', 'Tomato, "cherry"'),
+            ("To\0mato,0.5,0.25,0.25", "To\0mato"),
+            # the line is over csv's field size limit, but each of its fields fits
+            ("x" * 131_072 + ",0.5,0.25,0.25", "x" * 131_072),
+        ],
+        ids=["quoted-comma-and-doubled-quote", "nul-in-name", "line-over-the-limit"],
+    )
+    def test_boundary_lines_read_as_the_reference_reads_them(self, line, name):
+        assert csv.field_size_limit() == 131_072
+        text = f"exemplar,mu_a,mu_b,mu_ab\n{line}\nPear,0.5,0.75,0.75\n"
+        outcome = _parse_outcome(parse_table, text)
+        assert outcome == _parse_outcome(reference_parse_table, text)
+        if "\0" not in line or sys.version_info >= (3, 11):  # csv reads NUL from 3.11
+            assert outcome.names == (name, "Pear")
+
+    def test_name_over_the_field_limit_fails_at_its_line(self):
+        text = "exemplar,mu_a,mu_b,mu_ab\nPear,0.5,0.75,0.75\n" + "x" * 131_073
+        text += ",0.5,0.25,0.25\nFig,0.5,2.0,0.25\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_table(text)
+        assert str(excinfo.value) == (
+            "line 3: unparseable CSV row: field larger than field limit (131072)"
+        )
+        assert _parse_outcome(reference_parse_table, text) == (
+            ParseError, str(excinfo.value), 3
+        )
 
     def test_duplicate_name_after_comments_keeps_its_text(self):
         text = "exemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\n# c\n\nB,0.5,0.5,0.5\nA,0.5,0.5,0.5\n"
@@ -287,8 +318,8 @@ def test_csv_round_trip(table):
 
 
 # quotes, separators, the comment and label markers, numbers, letters,
-# spaces and line breaks: the characters a CSV table can go wrong with
-_CSV_ALPHABET = '",#:0123456789.e-abnxAB \r\n'
+# spaces, line breaks and NUL: the characters a CSV table can go wrong with
+_CSV_ALPHABET = '",#:0123456789.e-abnxAB \r\n\0'
 _GOOD_CELLS = ["0.25", "0.5", "0", "1", "1e-3", " 0.5 ", '"0.5"']
 _BAD_CELLS = ['"0.5', "2", "nan", "-0.5"]
 

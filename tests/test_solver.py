@@ -548,6 +548,15 @@ def test_model_exactness(table):
 
 @given(feasible_tables())
 @settings(max_examples=60, deadline=None)
+def test_beta_is_phi_bitwise(table):
+    # phi_m = atan2(|s|, d_m) lies in [+0, 180] degrees, so beta_m = |phi_m|
+    # changes no bit of it
+    solution = solve_feasible(table)
+    assert solution.beta_deg.tobytes() == solution.phi_deg.tobytes()
+
+
+@given(feasible_tables())
+@settings(max_examples=60, deadline=None)
 def test_sign_sum_invariant(table):
     solution = solve_feasible(table)
     total = solution.lambdas.sum()

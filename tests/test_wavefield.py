@@ -647,6 +647,20 @@ class TestCosDeg:
 
 
 class TestRenderGrids:
+    def test_default_window_below_the_float_spacing_raises(self, reference_table):
+        # every placement sits at x = 1e300, where the spacing of floats is
+        # far above the 2 sigma padding, so the padded window has no width
+        fields = fit_gaussian_fields(reference_table, (1e300, 0.0), (1e300, 10.0))
+        placements = place_exemplars(reference_table, *fields)
+        with pytest.raises(FitError) as excinfo:
+            default_window(placements, *fields)
+        pad = 2 * max(field.sigma for field in fields)
+        assert str(excinfo.value) == (
+            f"the placements span x [1e+300, 1e+300] and y [0.0, 10.0]; padding "
+            f"them by {pad!r} leaves an empty window at float precision, so "
+            "pass --window"
+        )
+
     def test_constant_right_angle_equals_classical_bitwise(
         self, reference_fields, reference_placements
     ):
