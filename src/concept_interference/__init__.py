@@ -18,7 +18,6 @@ from .dataset import (
 from .errors import (
     ConceptInterferenceError,
     DegeneracyError,
-    DimensionError,
     FitError,
     InfeasibilityError,
     ParseError,
@@ -42,7 +41,6 @@ from .solver import (
     verify_solution,
 )
 from .wavefield import (
-    ConstantPhaseField,
     GaussianField,
     PhaseField,
     Placement,
@@ -63,10 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Classification",
     "ConceptInterferenceError",
-    "ConstantPhaseField",
     "DEFAULT_SUM_TOLERANCE",
     "DegeneracyError",
-    "DimensionError",
     "ExemplarRecord",
     "FeasibilityReport",
     "FitError",

@@ -41,10 +41,10 @@ from .solver import (
     solve,
 )
 from .wavefield import (
-    ConstantPhaseField,
     DEFAULT_CENTER_A,
     DEFAULT_CENTER_B,
     DEFAULT_RESOLUTION,
+    PhaseField,
     default_window,
     fit_gaussian_fields,
     grid_to_csv,
@@ -153,8 +153,8 @@ def build_solve_report(
         {
             "lambda": solution.lambdas,
             "phi_deg": solution.phi_deg,
-            "beta_deg": solution.beta_deg,
-            "c": solution.c,
+            "beta_deg": solution.phi_deg,
+            "c": np.where(np.arange(table.n) == solution.m - 1, solution.c_m, 1.0),
             "classification": labels,
         },
     )
@@ -196,26 +196,18 @@ def build_infeasible_report(
     return _report(raw, exemplars, model, feasibility)
 
 
-# json's spelling of the non-finite floats that float.__repr__ writes
-_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _column_text(column: tuple):
-    """The JSON text of each value in a column of scalars, or None when the
-    column holds a container (which ``indent`` would spread over lines)."""
+    """The JSON text of each value in a column of finite floats, of ints or
+    of strings, the kinds the report builders write; None for any other
+    column, which ``json.dumps`` writes instead."""
     kinds = set(map(type, column))
-    if kinds == {float}:
-        if math.isfinite(sum(column)):
-            return map(float.__repr__, column)
-        reprs = list(map(float.__repr__, column))
-        return map(_NONFINITE_TEXT.get, reprs, reprs)
+    if kinds == {float} and math.isfinite(sum(column)):
+        return map(float.__repr__, column)
     if kinds == {int}:
         return map(int.__repr__, column)
     if kinds == {str}:
         return map(encode_basestring_ascii, column)
-    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
-        return None
-    return map(json.dumps, column)
+    return None
 
 
 def _rows_text(rows) -> str | None:
@@ -320,7 +312,7 @@ def _run_render(args) -> int:
     field_a, field_b = fit_gaussian_fields(table, centers[:2], centers[2:])
     placements = place_exemplars(table, field_a, field_b)
     if args.phase_constant is not None:
-        phase = ConstantPhaseField(args.phase_constant)
+        phase = PhaseField(np.zeros((1, 2)), [args.phase_constant])
     else:
         phase = interpolate_phase(placements, solution.phi_deg)
     if args.window is not None:

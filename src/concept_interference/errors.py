@@ -30,10 +30,6 @@ class DegeneracyError(ValidationError):
     """Data is degenerate for the model (zero marginal, classical additivity)."""
 
 
-class DimensionError(ConceptInterferenceError, ValueError):
-    """Vector lengths or array shapes do not match."""
-
-
 class InfeasibilityError(ConceptInterferenceError):
     """The interference model is not constructible for this data.
 

@@ -24,12 +24,11 @@ reproduces the mu_ab column exactly.  The construction runs in stages:
                     exemplar k's interference term (d_k, lambda_k) =
                     c_k sqrt(mu_a_k mu_b_k) (cos phi_k, sin phi_k), and
                     phi_m = atan2(|sum of the off-m lambdas|, d_m);
-                    beta_k = phi_k, bitwise (phi_m lies in [+0, 180]
-                    degrees, so it is its own |phi_m|);
 6. vectors          |A> real with coordinates sqrt(mu_a_k) and 0 in the
                     extra plane coordinate; |B> with coordinates
-                    e^(i beta_k) sqrt(mu_b_k), scaled by c_m at m, and
-                    sqrt(mu_b_m (1 - c_m^2)) in the plane coordinate;
+                    e^(i phi_k) sqrt(mu_b_k), scaled by c_m at m, and
+                    sqrt(mu_b_m (1 - c_m^2)) in the plane coordinate; the
+                    report's beta_deg column is phi (beta_m = |phi_m| = phi_m);
 7. residuals        |<A|B>|, both norm errors, and the worst gap between
                     mu_ab and the superposed state (:class:`ProjectorLayout`).
 
@@ -49,7 +48,6 @@ import numpy as np
 from .dataset import TypicalityTable
 from .errors import (
     DegeneracyError,
-    DimensionError,
     InfeasibilityError,
     ValidationError,
 )
@@ -142,8 +140,6 @@ class InterferenceSolution:
     deviations: np.ndarray
     lambdas: np.ndarray
     phi_deg: np.ndarray
-    beta_deg: np.ndarray
-    c: np.ndarray
     m: int
     c_m: float
     vector_a: np.ndarray
@@ -262,16 +258,16 @@ def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
 def compute_phases(
     table: TypicalityTable, lambdas, m: int, c_m: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interference phases phi_k and vector phases beta_k, in degrees.
+    """Interference phases phi_k in degrees, and a copy of them.
 
     Each phase is the argument of its row's interference term (d_k,
     lambda_k) = c_k sqrt(mu_a_k mu_b_k) (cos phi_k, sin phi_k): phi_k =
     atan2(lambda_k, d_k) for k != m, and phi_m = atan2(|s|, d_m), where s
     is the off-m lambda sum that exemplar m's term cancels (its scale c_m
-    sqrt(mu_a_m mu_b_m) drops out).  beta is a copy of phi, bitwise: the
-    model's beta_m = |phi_m| is phi_m itself, since atan2(|s|, d_m) lies in
-    [+0, 180] degrees.  A zero lambda, or a zero s for m, puts its row on the
-    boundary: a phase of exactly 0 or 180 degrees.
+    sqrt(mu_a_m mu_b_m) drops out).  A zero lambda, or a zero s for m, puts
+    its row on the boundary: a phase of exactly 0 or 180 degrees.  The
+    second array is a copy of the first, kept only for callers that unpack
+    two.
     """
     lambdas = _checked_stage_inputs(table, lambdas, "lambdas", m, c_m)
     # + 0.0 turns a -0.0 lambda into +0.0, so a boundary row at d < 0 reads
@@ -287,21 +283,21 @@ def compute_phases(
 
 
 def build_state_vectors(
-    table: TypicalityTable, m: int, c_m: float, beta_deg
+    table: TypicalityTable, m: int, c_m: float, phi_deg
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit concept vectors in C^(n+1).
 
     vector_a is real: sqrt(mu_a_k) per exemplar, 0 in the plane coordinate.
-    vector_b carries e^(i beta_k) sqrt(mu_b_k) per exemplar, scaled by c_m
+    vector_b carries e^(i phi_k) sqrt(mu_b_k) per exemplar, scaled by c_m
     at m, and the real remainder sqrt(mu_b_m (1 - c_m^2)) in the plane
     coordinate.  Both are unit vectors by construction.
     """
-    beta = _checked_stage_inputs(table, beta_deg, "beta_deg", m, c_m)
+    phi = _checked_stage_inputs(table, phi_deg, "phi_deg", m, c_m)
     n = table.n
     vector_a = np.zeros(n + 1, dtype=np.complex128)
     vector_a[:n] = np.sqrt(table.mu_a)
     vector_b = np.zeros(n + 1, dtype=np.complex128)
-    vector_b[:n] = np.sqrt(table.mu_b) * np.exp(1j * np.radians(beta))
+    vector_b[:n] = np.sqrt(table.mu_b) * np.exp(1j * np.radians(phi))
     vector_b[m - 1] *= c_m
     vector_b[n] = math.sqrt(max(0.0, float(table.mu_b[m - 1]) * (1.0 - c_m * c_m)))
     return vector_a, vector_b
@@ -319,7 +315,7 @@ def measure_residuals(
     Computes the orthogonality modulus |<A|B>|, both unit-norm errors, and
     the worst gap between mu_ab and the superposed-state projection; used
     both when a model is built and to re-check serialized models.  Raises
-    DimensionError unless both vectors hold n + 1 coordinates.  A norm
+    ValidationError unless both vectors hold n + 1 coordinates.  A norm
     outside the normal float range reads an error near 1, inf or NaN.
     """
     n = layout.n
@@ -327,7 +323,7 @@ def measure_residuals(
     vector_b = np.asarray(vector_b, dtype=np.complex128)
     for vector in (vector_a, vector_b):
         if vector.shape != (n + 1,):
-            raise DimensionError(
+            raise ValidationError(
                 f"state vector has shape {vector.shape}, layout needs "
                 f"{n + 1} coordinates"
             )
@@ -397,10 +393,8 @@ def solve(table: TypicalityTable) -> InterferenceSolution:
     signs, m = assign_signs(magnitudes)
     lambdas = signs * magnitudes
     c_m = compute_cm(table, lambdas, m)
-    phi_deg, beta_deg = compute_phases(table, lambdas, m, c_m)
-    vector_a, vector_b = build_state_vectors(table, m, c_m, beta_deg)
-    c = np.ones(table.n)
-    c[m - 1] = c_m
+    phi_deg, _ = compute_phases(table, lambdas, m, c_m)
+    vector_a, vector_b = build_state_vectors(table, m, c_m, phi_deg)
     residuals = measure_residuals(
         vector_a, vector_b, table, ProjectorLayout(table.n, m)
     )
@@ -408,8 +402,6 @@ def solve(table: TypicalityTable) -> InterferenceSolution:
         deviations=deviations,
         lambdas=lambdas,
         phi_deg=phi_deg,
-        beta_deg=beta_deg,
-        c=c,
         m=m,
         c_m=c_m,
         vector_a=vector_a,

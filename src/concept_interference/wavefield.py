@@ -112,16 +112,14 @@ class PlacementMap:
         rows = zip(range(1, len(self.names) + 1), self.names, *columns)
         return tuple(map(Placement._make, rows))
 
-    def locations(self) -> np.ndarray:
-        return np.column_stack((self.x, self.y))
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseField:
     """Inverse-distance-squared interpolant over exemplar phase nodes.
 
-    Exact at every node and clamped to the node extremes, so values never
-    leave [min phi_k, max phi_k].  Evaluation is Shepard's interpolation in
+    Every phase must be finite.  Exact at every node and clamped to the node
+    extremes, so values never leave [min phi_k, max phi_k], and a one-node
+    field is its phase everywhere.  Evaluation is Shepard's interpolation in
     its streaming form: one pass over the nodes adds each node's weight and
     weighted phase into running planes, so memory is O(H*W) for any n, and
     x and y may be a grid's sparse axes.  Where the weights fail (their sum
@@ -144,6 +142,11 @@ class PhaseField:
             )
         if len(np.unique(nodes, axis=0)) != nodes.shape[0]:
             raise ValidationError("duplicate node locations")
+        if not (finite := np.isfinite(values)).all():
+            k = int(finite.argmin())
+            raise ValidationError(
+                f"phase {float(values[k])!r} of node {k + 1} is not finite"
+            )
         object.__setattr__(self, "nodes_xy", nodes)
         object.__setattr__(self, "values_deg", values)
 
@@ -151,10 +154,10 @@ class PhaseField:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         # the offsets keep x's and y's own shapes, d2 and the sums the shape
-        # they broadcast to; both sums start from +0.0 and add node after node,
-        # as a numpy sum over a leading node axis does (all -0.0 terms sum to +0.0)
+        # they broadcast to; the sums add node after node from -0.0, the
+        # identity of IEEE addition, so all -0.0 terms sum to -0.0
         dx, dy = np.empty(x.shape), np.empty(y.shape)
-        d2, num, den = (np.zeros(np.broadcast(x, y).shape) for _ in range(3))
+        d2, num, den = (np.full(np.broadcast(x, y).shape, -0.0) for _ in range(3))
         nodes, values = self.nodes_xy.tolist(), self.values_deg.tolist()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for (node_x, node_y), value in zip(nodes, values):
@@ -175,20 +178,6 @@ class PhaseField:
                 np.minimum(best, distance, out=best)
             num[fail] = nearest
         return np.clip(num, self.values_deg.min(), self.values_deg.max())
-
-
-@dataclass(frozen=True)
-class ConstantPhaseField:
-    """Uniform phase everywhere (e.g. 90 degrees for the classical limit)."""
-
-    value_deg: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value_deg):
-            raise ValidationError(f"phase constant {self.value_deg!r} is not finite")
-
-    def evaluate(self, x, y) -> np.ndarray:
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.value_deg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +355,7 @@ def place_exemplars(
 
 def interpolate_phase(placements: PlacementMap, phi_deg) -> PhaseField:
     """Phase field through the exemplar locations with their phi values."""
-    return PhaseField(placements.locations(), phi_deg)
+    return PhaseField(np.column_stack((placements.x, placements.y)), phi_deg)
 
 
 def default_window(
@@ -393,7 +382,7 @@ def default_window(
 def render_grids(
     field_a: GaussianField,
     field_b: GaussianField,
-    phase: PhaseField | ConstantPhaseField,
+    phase: PhaseField,
     window: tuple[float, float, float, float],
     resolution: tuple[int, int] = (DEFAULT_RESOLUTION, DEFAULT_RESOLUTION),
 ) -> dict[str, RasterGrid]:
@@ -401,9 +390,9 @@ def render_grids(
 
     Returns a_only (field A), b_only (field B), classical ((A+B)/2) and
     interference (classical + sqrt(A*B) cos phase).  a_only + b_only equals
-    2*classical exactly, pixelwise; with a constant 90-degree phase the
-    interference grid equals the classical grid bit-for-bit.  The window's
-    bounds and its width and height must be finite.
+    2*classical exactly, pixelwise; with a one-node phase field of 90
+    degrees the interference grid equals the classical grid bit-for-bit.
+    The window's bounds and its width and height must be finite.
     """
     x_min, x_max, y_min, y_max = (float(v) for v in window)
     if not (x_min < x_max and y_min < y_max):

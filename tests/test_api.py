@@ -6,10 +6,8 @@ import concept_interference
 PUBLIC_NAMES = [
     "Classification",
     "ConceptInterferenceError",
-    "ConstantPhaseField",
     "DEFAULT_SUM_TOLERANCE",
     "DegeneracyError",
-    "DimensionError",
     "ExemplarRecord",
     "FeasibilityReport",
     "FitError",

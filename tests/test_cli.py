@@ -391,16 +391,23 @@ class TestVerifyCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            _edited(lambda report: report["residuals"].pop("norm_a_error")),
-            _edited(lambda report: report["vector_a"].pop()),
-            _edited(lambda report: (report["vector_a"].pop(), report["vector_b"].pop())),
-            _edited(lambda report: report["exemplars"].pop()),
+            (_edited(lambda report: report["residuals"].pop("norm_a_error")), ""),
+            (
+                _edited(lambda report: report["vector_a"].pop()),
+                ": ValidationError('state vector has shape (24,), layout needs "
+                "25 coordinates')",
+            ),
+            (
+                _edited(lambda report: (report["vector_a"].pop(), report["vector_b"].pop())),
+                "",
+            ),
+            (_edited(lambda report: report["exemplars"].pop()), ""),
             # a JSON number, but no float holds it
-            _edited(lambda report: report["vector_b"][0].update(re=10**400)),
-            lambda report: [],
-            lambda report: "text",
+            (_edited(lambda report: report["vector_b"][0].update(re=10**400)), ""),
+            (lambda report: [], ""),
+            (lambda report: "text", ""),
         ],
         ids=[
             "missing-residual",
@@ -413,14 +420,14 @@ class TestVerifyCommand:
         ],
     )
     def test_verify_malformed_report_exits_1(
-        self, dataset_path, tmp_path, capsys, corrupt
+        self, dataset_path, tmp_path, capsys, corrupt, message
     ):
         report_path = tmp_path / "report.json"
         main(["solve", str(dataset_path), "-o", str(report_path)])
         report = json.loads(report_path.read_text())
         report_path.write_text(json.dumps(corrupt(report)))
         assert main(["verify", str(report_path)]) == 1
-        assert "malformed report" in capsys.readouterr().err
+        assert "malformed report" + message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit",
@@ -556,8 +563,8 @@ class TestRenderCommand:
         [
             (["--window=-inf,1,0,1"], "is not finite"),
             (["--window=-1e308,1e308,0,1"], "is not finite"),  # width overflows
-            (["--phase-constant", "nan"], "phase constant nan is not finite"),
-            (["--phase-constant", "inf"], "phase constant inf is not finite"),
+            (["--phase-constant", "nan"], "error: phase nan of node 1 is not finite"),
+            (["--phase-constant", "inf"], "error: phase inf of node 1 is not finite"),
         ],
         ids=["infinite-bound", "overflowing-width", "nan-phase", "inf-phase"],
     )

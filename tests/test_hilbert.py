@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concept_interference import (
-    DimensionError,
     ProjectorLayout,
     ValidationError,
     measure_residuals,
@@ -33,7 +32,7 @@ class TestInnerProduct:
         assert report.orthogonality_modulus == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             measure_residuals([1, 0], [1, 0, 0], _ONE_ROW, ProjectorLayout(n=1, m=1))
 
     def test_reference_vectors_orthogonal(self, reference_solution):
@@ -78,9 +77,9 @@ class TestProjectProbability:
         good = np.zeros(4, dtype=complex)
         layout = ProjectorLayout(n=3, m=1)
         for shape in [(3,), (5,), (4, 1), ()]:
-            with pytest.raises(DimensionError):
+            with pytest.raises(ValidationError):
                 measure_residuals(np.zeros(shape), good, _THREE_ROWS, layout)
-            with pytest.raises(DimensionError):
+            with pytest.raises(ValidationError):
                 measure_residuals(good, np.zeros(shape), _THREE_ROWS, layout)
 
     def test_bad_layout(self):

@@ -24,6 +24,7 @@ from concept_interference import (
     validate_and_normalize,
     verify_solution,
 )
+from concept_interference.cli import build_solve_report
 
 from conftest import (
     feasible_tables,
@@ -252,9 +253,10 @@ class TestPhases:
             == np.sign(reference_solution.lambdas[nonzero])
         )
 
-    def test_beta_equals_phi_except_m(self, reference_solution):
+    def test_beta_equals_phi_except_m(self, reference_table, reference_solution):
         m = reference_solution.m
-        phi, beta = reference_solution.phi_deg, reference_solution.beta_deg
+        phi = reference_solution.phi_deg
+        beta = _report_column(reference_table, reference_solution, "beta_deg")
         assert np.array_equal(np.delete(phi, m - 1), np.delete(beta, m - 1))
         assert beta[m - 1] == abs(phi[m - 1])
 
@@ -313,11 +315,11 @@ class TestStateVectors:
         lambda t, s: compute_phases(t, s.lambdas[:-1], s.m, s.c_m),
         lambda t, s: compute_phases(t, np.append(s.lambdas, 0.1), s.m, s.c_m),
         lambda t, s: compute_phases(t, s.lambdas, t.n + 1, s.c_m),
-        lambda t, s: build_state_vectors(t, s.m, s.c_m, s.beta_deg[:1]),
-        lambda t, s: build_state_vectors(t, s.m, 1.5, s.beta_deg),
-        lambda t, s: build_state_vectors(t, 0, s.c_m, s.beta_deg),
+        lambda t, s: build_state_vectors(t, s.m, s.c_m, s.phi_deg[:1]),
+        lambda t, s: build_state_vectors(t, s.m, 1.5, s.phi_deg),
+        lambda t, s: build_state_vectors(t, 0, s.c_m, s.phi_deg),
         lambda t, s: build_state_vectors(
-            t, s.m, s.c_m, np.where(s.beta_deg > 0, np.inf, s.beta_deg)
+            t, s.m, s.c_m, np.where(s.phi_deg > 0, np.inf, s.phi_deg)
         ),
     ],
     ids=[
@@ -345,7 +347,7 @@ def test_m_must_be_an_integer_exemplar_index(reference_table, reference_solution
     stages = [
         lambda: compute_cm(table, s.lambdas, m),
         lambda: compute_phases(table, s.lambdas, m, s.c_m),
-        lambda: build_state_vectors(table, m, s.c_m, s.beta_deg),
+        lambda: build_state_vectors(table, m, s.c_m, s.phi_deg),
         lambda: measure_residuals(s.vector_a, s.vector_b, table, ProjectorLayout(24, m)),
     ]
     for stage in stages:
@@ -377,13 +379,13 @@ class TestVerification:
         assert report == reference_solution.residuals
 
     def test_detects_perturbed_phase(self, reference_table, reference_solution):
-        beta = reference_solution.beta_deg.copy()
-        beta[4] += 10.0
+        phi = reference_solution.phi_deg.copy()
+        phi[4] += 10.0
         vector_a, vector_b = build_state_vectors(
             reference_table,
             reference_solution.m,
             reference_solution.c_m,
-            beta,
+            phi,
         )
         report = measure_residuals(
             vector_a,
@@ -530,6 +532,18 @@ def test_pythagorean_identity(table):
     assert np.all(np.abs(lhs - rhs) <= 1e-12)
 
 
+def _coefficients(solution):
+    """c_k: 1 for every exemplar except c_m at m."""
+    c = np.ones(solution.phi_deg.size)
+    c[solution.m - 1] = solution.c_m
+    return c
+
+
+def _report_column(table, solution, key):
+    rows = build_solve_report(table, table, solution)["exemplars"]
+    return np.array([row[key] for row in rows])
+
+
 @given(feasible_tables())
 @settings(max_examples=60, deadline=None)
 def test_model_exactness(table):
@@ -540,7 +554,8 @@ def test_model_exactness(table):
     assert residuals.norm_b_error < 1e-9
     assert residuals.max_reconstruction_error < 1e-9
     # the closed-form reconstruction is even tighter
-    reconstructed = 0.5 * (table.mu_a + table.mu_b) + solution.c * np.sqrt(
+    c = _coefficients(solution)
+    reconstructed = 0.5 * (table.mu_a + table.mu_b) + c * np.sqrt(
         table.mu_a * table.mu_b
     ) * np.cos(np.radians(solution.phi_deg))
     assert np.all(np.abs(reconstructed - table.mu_ab) <= 1e-12)
@@ -549,10 +564,14 @@ def test_model_exactness(table):
 @given(feasible_tables())
 @settings(max_examples=60, deadline=None)
 def test_beta_is_phi_bitwise(table):
-    # phi_m = atan2(|s|, d_m) lies in [+0, 180] degrees, so beta_m = |phi_m|
-    # changes no bit of it
+    # phi_m = atan2(|s|, d_m) lies in [+0, 180] degrees, so the report's
+    # beta_m = |phi_m| changes no bit of it; c is 1 except c_m at m
     solution = solve_feasible(table)
-    assert solution.beta_deg.tobytes() == solution.phi_deg.tobytes()
+    beta = _report_column(table, solution, "beta_deg")
+    assert beta.tobytes() == solution.phi_deg.tobytes()
+    c = _report_column(table, solution, "c")
+    assert np.all(c[np.arange(table.n) != solution.m - 1] == 1.0)
+    assert c[solution.m - 1] == solution.c_m
 
 
 @given(feasible_tables())
@@ -586,7 +605,6 @@ def test_phase_signs_follow_lambdas(table):
     assert np.all(
         np.signbit(solution.phi_deg[nonzero]) == (solution.lambdas[nonzero] < 0.0)
     )
-    assert np.all(solution.c[np.arange(table.n) != solution.m - 1] == 1.0)
 
 
 def _assert_phases_match_the_arccos_reference(table):
@@ -594,7 +612,7 @@ def _assert_phases_match_the_arccos_reference(table):
     m = solution.m
     off_m_zero = math.fsum(np.delete(solution.lambdas, m - 1).tolist()) == 0.0
     for k, (phi, lambda_k, c_k) in enumerate(
-        zip(solution.phi_deg, solution.lambdas, solution.c), start=1
+        zip(solution.phi_deg, solution.lambdas, _coefficients(solution)), start=1
     ):
         expected, cosine = reference_phase(table, k, lambda_k, c_k)
         if (off_m_zero if k == m else lambda_k == 0.0):

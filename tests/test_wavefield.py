@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from concept_interference import (
-    ConstantPhaseField,
     FitError,
     GaussianField,
     PhaseField,
@@ -28,6 +27,11 @@ from concept_interference.wavefield import cos_deg
 
 from conftest import feasible_tables, make_table
 from reference_values import SIGMA_A, SIGMA_B
+
+
+def _one_node(value):
+    """A one-node phase field: ``value`` at every point."""
+    return PhaseField(np.zeros((1, 2)), [value])
 
 
 @pytest.fixture(scope="module")
@@ -387,7 +391,7 @@ class TestPlacement:
                 place_exemplars(table, field_a, field_b)
             table = make_table([0.5, 0.2, 1e-300, 0.3], [0.1, 0.6, 0.1, 0.2], mu_ab)
             placements = _assert_matches_reference(table, field_a, field_b)
-        assert np.isfinite(placements.locations()).all()
+        assert np.isfinite(placements.x).all() and np.isfinite(placements.y).all()
 
     def test_coincident_centers_rejected(self):
         table = make_table([0.5, 0.2, 0.3], [0.2, 0.5, 0.3], [0.35, 0.35, 0.3])
@@ -473,10 +477,11 @@ def _reference_phase(field, x, y):
     """The phase field as one broadcast expression over every node at once.
 
     This is the n x H x W formula the streaming ``PhaseField.evaluate``
-    replaced, kept here as its bit-exact reference.  Where the weights fail
-    (their sum is 0 or inf, or the weighted sum is not finite) a point with
-    no NaN coordinate takes its nearest node's value by ``np.hypot``, the
-    first node on ties.
+    replaced, kept here as its bit-exact reference.  The weighted sum starts
+    from -0.0, as the streaming one does, so all -0.0 terms sum to -0.0.
+    Where the weights fail (their sum is 0 or inf, or the weighted sum is
+    not finite) a point with no NaN coordinate takes its nearest node's
+    value by ``np.hypot``, the first node on ties.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -485,7 +490,7 @@ def _reference_phase(field, x, y):
     shape = (-1,) + (1,) * max(x.ndim, y.ndim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weights = 1.0 / (dx * dx + dy * dy)
-        num = (weights * field.values_deg.reshape(shape)).sum(axis=0)
+        num = (weights * field.values_deg.reshape(shape)).sum(axis=0, initial=-0.0)
         den = weights.sum(axis=0)
         blended = num / den
     fail = ((den == 0.0) | np.isinf(den) | ~np.isfinite(num)) & ~np.isnan(den)
@@ -617,6 +622,24 @@ class TestPhaseField:
                 tracemalloc.stop()
             assert peak < sixteen_planes, (n, peak)
 
+    @pytest.mark.parametrize("value", [-0.0, 90.0, 180.0, -180.0, 37.123456789])
+    @pytest.mark.parametrize(
+        "low, high", [(-1.0, 1.0), (-1e-155, 1e-155), (1e200, 2e200)],
+        ids=["holds the node", "within 1e-155 of it", "1e200 away"],
+    )
+    def test_one_node_field_is_its_value_bitwise(self, value, low, high):
+        # on the node, beside it (every weight overflows) and far from it
+        # (every weight underflows), and between for the first window
+        axis = np.linspace(low, high, 9)
+        got = _one_node(value).evaluate(*np.meshgrid(axis, axis, sparse=True))
+        assert got.tobytes() == np.full((9, 9), value).tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, value):
+        message = rf"^phase {value!r} of node 2 is not finite$"
+        with pytest.raises(ValidationError, match=message):
+            PhaseField(np.array([[0.0, 0.0], [1.0, 0.0]]), [45.0, value])
+
     def test_duplicate_nodes_rejected(self):
         from concept_interference import PhaseField
 
@@ -666,7 +689,7 @@ class TestRenderGrids:
     ):
         window = default_window(reference_placements, *reference_fields)
         grids = render_grids(
-            *reference_fields, ConstantPhaseField(90.0), window, (64, 64)
+            *reference_fields, _one_node(90.0), window, (64, 64)
         )
         assert np.array_equal(
             grids["interference"].values, grids["classical"].values
@@ -677,7 +700,7 @@ class TestRenderGrids:
     ):
         window = default_window(reference_placements, *reference_fields)
         grids = render_grids(
-            *reference_fields, ConstantPhaseField(0.0), window, (64, 64)
+            *reference_fields, _one_node(0.0), window, (64, 64)
         )
         amplitude_sum = 0.5 * (
             np.sqrt(grids["a_only"].values) + np.sqrt(grids["b_only"].values)
@@ -748,7 +771,7 @@ class TestRenderGrids:
         x_min, x_max, y_min, y_max = window
         grid = grids["interference"]
         classical = grids["classical"]
-        locations = reference_placements.locations()
+        locations = np.column_stack((reference_placements.x, reference_placements.y))
         pixel = max((x_max - x_min) / grid.width, (y_max - y_min) / grid.height)
         checked = 0
         for i, placement in enumerate(reference_placements.placements):
@@ -787,7 +810,7 @@ class TestRenderGrids:
         fields = fit_gaussian_fields(reference_table, (0.0, 0.0), (10.0, 4.0))
         fields_swapped = fit_gaussian_fields(swapped, (10.0, 4.0), (0.0, 0.0))
         window = (-5.0, 15.0, -5.0, 9.0)
-        phase = ConstantPhaseField(45.0)
+        phase = _one_node(45.0)
         grids = render_grids(*fields, phase, window, (32, 32))
         grids_swapped = render_grids(*fields_swapped, phase, window, (32, 32))
         assert np.array_equal(
@@ -803,14 +826,14 @@ class TestRenderGrids:
     def test_degenerate_window_rejected(self, reference_fields):
         with pytest.raises(ValidationError, match="window"):
             render_grids(
-                *reference_fields, ConstantPhaseField(0.0), (1.0, 1.0, 0.0, 2.0)
+                *reference_fields, _one_node(0.0), (1.0, 1.0, 0.0, 2.0)
             )
 
     def test_tiny_resolution_rejected(self, reference_fields):
         with pytest.raises(ValidationError, match="resolution"):
             render_grids(
                 *reference_fields,
-                ConstantPhaseField(0.0),
+                _one_node(0.0),
                 (0.0, 1.0, 0.0, 1.0),
                 (1, 1),
             )
