@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import operator
 import sys
 from dataclasses import asdict, fields
@@ -32,6 +31,7 @@ from .errors import (
     InfeasibilityError,
 )
 from .solver import (
+    FeasibilityReport,
     InterferenceSolution,
     ProjectorLayout,
     VerificationReport,
@@ -179,65 +179,54 @@ def build_infeasible_report(
     error: ConceptInterferenceError,
 ) -> dict:
     """Report for data the model cannot represent; no partial model inside."""
-    report = getattr(error, "report", None)
-    rows = report.infeasible_exemplars if report is not None else ()
+    # a DegeneracyError, or an InfeasibilityError built bare, carries none
+    report = getattr(error, "report", None) or FeasibilityReport()
     infeasible = [
         {"index": index, "name": table.names[index - 1], "radicand": radicand}
-        for index, radicand in rows
+        for index, radicand in report.infeasible_exemplars
     ]
-    cm_violation = report.cm_violation if report is not None else None
     exemplars = _exemplar_rows(table, compute_deviations(table), {})
     model = dict.fromkeys(("m", "c_m", "vector_a", "vector_b", "residuals"))
     feasibility = {
         "infeasible_exemplars": infeasible,
-        "cm_violation": cm_violation,
+        "cm_violation": report.cm_violation,
         "diagnostic": str(error),
     }
     return _report(raw, exemplars, model, feasibility)
 
 
-def _column_text(column: tuple):
-    """The JSON text of each value in a column of finite floats, of ints or
-    of strings, the kinds the report builders write; None for any other
-    column, which ``json.dumps`` writes instead."""
-    kinds = set(map(type, column))
-    if kinds == {float} and math.isfinite(sum(column)):
-        return map(float.__repr__, column)
-    if kinds == {int}:
-        return map(int.__repr__, column)
-    if kinds == {str}:
-        return map(encode_basestring_ascii, column)
-    return None
+# Encodes JSON scalars as "[v1\nv2\n...]" in C; no value's text holds a raw newline.
+_VALUE_ENCODER = json.JSONEncoder(separators=("\n", ": "))
+_ROW_VALUE_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 def _rows_text(rows) -> str | None:
     """``json.dumps(rows, indent=2)`` one level deep, for a non-empty list of
-    flat dicts sharing one key order, written a column at a time; None for
-    any other value."""
-    if type(rows) is not list or not rows or type(rows[0]) is not dict:
+    flat dicts of JSON scalars in one key order; None for any other value."""
+    if type(rows) is not list or {*map(type, rows)} != {dict}:
         return None
     keys = tuple(rows[0])
-    if not keys or any(type(key) is not str for key in keys):
+    if {*map(type, keys)} != {str} or {*map(tuple, rows)} != {keys}:
         return None
-    if any(type(row) is not dict or tuple(row) != keys for row in rows):
+    values = [*chain.from_iterable(map(dict.values, rows))]
+    if not {*map(type, values)} <= _ROW_VALUE_TYPES:
         return None
-    texts = [_column_text(column) for column in zip(*map(dict.values, rows))]
-    if any(text is None for text in texts):
-        return None
+    texts = tuple(_VALUE_ENCODER.encode(values)[1:-1].split("\n"))
     entries = ",\n".join(
         "      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
         for key in keys
     )
     template = "    {\n" + entries + "\n    }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*texts))) + "\n  ]"
+    # the brackets are in the one format, so the text is built once, not copied
+    return ("[\n" + ",\n".join([template] * len(rows)) + "\n  ]") % texts
 
 
 def _encode_report(report: dict) -> str:
     """``json.dumps(report, indent=2) + "\\n"``, byte for byte.
 
-    The indented standard-library encoder runs in pure Python; the per-
-    exemplar rows and the vector pairs are written column-wise instead, and
-    every other top-level value goes through ``json.dumps`` re-indented.
+    The indented standard-library encoder runs in pure Python; the values of
+    the exemplar rows and the vector pairs go through the C encoder instead,
+    and every other top-level value goes through ``json.dumps`` re-indented.
     The report is a non-empty dict with text keys, as the builders return.
     """
     members = []

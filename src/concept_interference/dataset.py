@@ -131,6 +131,8 @@ class TypicalityTable:
                     raise ValidationError(f"duplicate exemplar name {name!r}")
                 seen.add(name)
 
+        if isinstance(self.notes, str):
+            raise ValidationError(f"notes must be a list of texts, got {self.notes!r}")
         object.__setattr__(self, "notes", tuple(self.notes))
         texts = [(key, getattr(self, key), True) for key in _LABEL_KEYS]
         for kind, text, allow_empty in texts + [("note", t, False) for t in self.notes]:

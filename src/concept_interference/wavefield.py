@@ -47,6 +47,8 @@ class GaussianField:
             raise FitError(f"sigma must be positive, got {self.sigma!r}")
         if not (self.peak > 0.0 and math.isfinite(self.peak)):
             raise FitError(f"peak must be positive, got {self.peak!r}")
+        if not all(map(math.isfinite, self.center)):
+            raise FitError(f"center must be finite, got {self.center!r}")
 
     @np.errstate(over="ignore")  # a squared offset past the float range gives 0
     def intensity(self, x, y):
@@ -117,15 +119,16 @@ class PlacementMap:
 class PhaseField:
     """Inverse-distance-squared interpolant over exemplar phase nodes.
 
-    Every phase must be finite.  Exact at every node and clamped to the node
-    extremes, so values never leave [min phi_k, max phi_k], and a one-node
-    field is its phase everywhere.  Evaluation is Shepard's interpolation in
-    its streaming form: one pass over the nodes adds each node's weight and
-    weighted phase into running planes, so memory is O(H*W) for any n, and
-    x and y may be a grid's sparse axes.  Where the weights fail (their sum
-    is 0 or inf, or the weighted sum is not finite: on a node, within about
-    1e-153 of one, or about 1e154 from all) a point takes its nearest node's
-    value by ``np.hypot``, the first node on ties; NaN stays NaN.
+    Nodes and phases must be finite.  Exact at every node and clamped to the
+    node extremes, so values never leave [min phi_k, max phi_k], and a
+    one-node field is its phase everywhere.  Evaluation is Shepard's
+    interpolation in its streaming form: one pass over the nodes adds each
+    node's weight and weighted phase into running planes, so memory is
+    O(H*W) for any n, and x and y may be a grid's sparse axes.  Where the
+    weights fail (their sum is 0 or inf, or the weighted sum is not finite:
+    on a node, within about 1e-153 of one, or about 1e154 from all) a point
+    takes its nearest node's value by ``np.hypot``, the first node on ties;
+    NaN stays NaN.
     """
 
     nodes_xy: np.ndarray
@@ -139,6 +142,11 @@ class PhaseField:
         if values.shape != (nodes.shape[0],):
             raise ValidationError(
                 f"need one phase per node: {values.shape} vs nodes {nodes.shape}"
+            )
+        if not (finite := np.isfinite(nodes).all(axis=1)).all():
+            k = int(finite.argmin())
+            raise ValidationError(
+                f"location {(*nodes[k].tolist(),)!r} of node {k + 1} is not finite"
             )
         if len(np.unique(nodes, axis=0)) != nodes.shape[0]:
             raise ValidationError("duplicate node locations")

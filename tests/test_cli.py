@@ -19,6 +19,7 @@ from concept_interference import (
 )
 from concept_interference.cli import (
     _encode_report,
+    _rows_text,
     build_infeasible_report,
     build_solve_report,
     main,
@@ -111,12 +112,31 @@ def test_encoder_writes_json_dumps_bytes(report):
     assert _encode_report(report) == json.dumps(report, indent=2) + "\n"
 
 
+# lists of flat rows with JSON scalar values, which the encoder writes row by
+# row whatever their mix of kinds
+_SCALAR_ROWS = [
+    [{"a": 1.5}, {"a": math.nan}],
+    [{"a": math.inf}, {"a": -math.inf}],
+    [{"a": 1.5}, {"a": None}],
+    [{"a": 1.5}, {"a": True}],
+    [{"a": 1}, {"a": 2.5}],
+    [{"a": "raw\nnewline", "b": "},\n      {"}],
+    [{"a": 1}],
+]
+
+
+@pytest.mark.parametrize("rows", _SCALAR_ROWS, ids=repr)
+def test_encoder_writes_scalar_rows_row_by_row(rows):
+    assert _rows_text(rows) == json.dumps(rows, indent=2).replace("\n", "\n  ")
+
+
 @pytest.mark.parametrize(
     "value",
     [
         [],
         [{}],
         [{"a": [1, 2]}],
+        [{"a": [5]}],
         [{"a": {"b": 1}}],
         [{"a": (1.5,)}],
         [{"a": 1}, {"b": 2}],
@@ -128,6 +148,7 @@ def test_encoder_writes_json_dumps_bytes(report):
         [{"a": True}, {"a": 1}],
         {"nested": [{"a": 1}]},
         "text",
+        *_SCALAR_ROWS,
     ],
     ids=repr,
 )
@@ -408,6 +429,10 @@ class TestVerifyCommand:
             (_edited(lambda report: report["vector_b"][0].update(re=10**400)), ""),
             (lambda report: [], ""),
             (lambda report: "text", ""),
+            (
+                _edited(lambda report: report["dataset"].update(notes="abc")),
+                ": ValidationError(\"notes must be a list of texts, got 'abc'\")",
+            ),
         ],
         ids=[
             "missing-residual",
@@ -417,6 +442,7 @@ class TestVerifyCommand:
             "integer-beyond-float",
             "top-level-list",
             "top-level-string",
+            "notes-as-text",
         ],
     )
     def test_verify_malformed_report_exits_1(

@@ -268,6 +268,12 @@ class TestTableInvariants:
         with pytest.raises(ValidationError):
             make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], names=[bad, "ok"])
 
+    def test_bare_text_notes_rejected(self):
+        # a str is iterable, but its characters are not its notes
+        with pytest.raises(ValidationError, match="notes must be a list of texts"):
+            TypicalityTable(RAW_ROWS, notes="abc")
+        assert TypicalityTable(RAW_ROWS, notes=["abc"]).notes == ("abc",)
+
     def test_columns_and_names_match_records(self):
         records = [ExemplarRecord(*row) for row in RAW_ROWS]
         table = TypicalityTable(records=iter(records))

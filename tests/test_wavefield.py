@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -132,6 +133,15 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert GaussianField((0.0, 0.0), 1.0, 1.0).intensity(1e200, 0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)], ids=repr
+    )
+    def test_non_finite_center_rejected(self, center):
+        # a NaN center would make every intensity NaN, an infinite one every
+        # intensity 0
+        with pytest.raises(FitError, match=r"^center must be finite, got \("):
+            GaussianField(center, 1.0, 1.0)
 
     @pytest.mark.parametrize("fraction", [1e-320, 5e-309, 0.0, -0.5, 1.5, math.nan])
     def test_level_radius_rejects_fractions_without_a_finite_radius(self, fraction):
@@ -639,6 +649,15 @@ class TestPhaseField:
         message = rf"^phase {value!r} of node 2 is not finite$"
         with pytest.raises(ValidationError, match=message):
             PhaseField(np.array([[0.0, 0.0], [1.0, 0.0]]), [45.0, value])
+
+    @pytest.mark.parametrize(
+        "node", [(math.nan, 0.0), (2.0, math.inf), (-math.inf, 0.0)], ids=repr
+    )
+    def test_non_finite_node_rejected(self, node):
+        # a NaN node would make every value NaN, an infinite one read as absent
+        message = rf"^location {re.escape(repr(node))} of node 2 is not finite$"
+        with pytest.raises(ValidationError, match=message):
+            PhaseField(np.array([[0.0, 0.0], node]), [45.0, 90.0])
 
     def test_duplicate_nodes_rejected(self):
         from concept_interference import PhaseField
