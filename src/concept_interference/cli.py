@@ -511,6 +511,10 @@ def main(argv=None) -> int:
     # the commands themselves turn infeasibility into exit 2
     except (_UsageError, OSError, ConceptInterferenceError) as exc:
         return _fail(str(exc))
+    # numpy names the allocation it could not make (render at a resolution
+    # whose planes do not fit); a bare MemoryError has no message
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

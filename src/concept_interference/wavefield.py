@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +33,14 @@ DEFAULT_CENTER_A = (0.0, 0.0)
 DEFAULT_CENTER_B = (10.0, 4.0)
 DEFAULT_RESOLUTION = 400
 DEFAULT_WINDOW_PADDING = 2.0  # multiples of the larger sigma
+
+# PhaseField.evaluate folds its nodes in bands of at most _BAND_PIXELS pixels
+# and tiles of about _TILE_VALUES values (a call at 64 px peaks near 11
+# planes); render_grids takes larger tiles, whose numpy calls (about 0.1 ms)
+# outlast passing the interpreter lock between band threads (about 20 us)
+_BAND_PIXELS = 2**12
+_TILE_VALUES = 2**15
+_RENDER_TILE_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -122,9 +131,16 @@ class PhaseField:
     Nodes and phases must be finite.  Exact at every node and clamped to the
     node extremes, so values never leave [min phi_k, max phi_k], and a
     one-node field is its phase everywhere.  Evaluation is Shepard's
-    interpolation in its streaming form: one pass over the nodes adds each
-    node's weight and weighted phase into running planes, so memory is
-    O(H*W) for any n, and x and y may be a grid's sparse axes.  Where the
+    interpolation folded in node tiles: bands of at most 4096 output pixels
+    along the first axis take the nodes in blocks of
+    ``2**15 // (band + x_band.size + y_band.size)`` (``2**17 // ...`` in
+    ``render_grids``), and each block's weights and weighted phases are
+    added into running weight and phase planes by an outer-axis
+    ``np.add.reduce``, which adds them node after node at every pixel.
+    So memory is O(H*W) for any n, x and y may be a grid's sparse axes,
+    and a pixel's value does not depend on the band or block it falls in (a
+    lone point is evaluated as the first of two equal points, as a
+    reduction over one pixel would add pairwise).  Where the
     weights fail (their sum is 0 or inf, or the weighted sum is not finite:
     on a node, within about 1e-153 of one, or about 1e154 from all) a point
     takes its nearest node's value by ``np.hypot``, the first node on ties;
@@ -159,25 +175,62 @@ class PhaseField:
         object.__setattr__(self, "values_deg", values)
 
     def evaluate(self, x, y) -> np.ndarray:
+        return self._fold(x, y, _TILE_VALUES)
+
+    def _fold(self, x, y, tile_values: int) -> np.ndarray:
+        """``evaluate`` in blocks of ``tile_values // (band + x_band.size +
+        y_band.size)`` nodes; the values do not depend on ``tile_values``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        # the offsets keep x's and y's own shapes, d2 and the sums the shape
-        # they broadcast to; the sums add node after node from -0.0, the
-        # identity of IEEE addition, so all -0.0 terms sum to -0.0
-        dx, dy = np.empty(x.shape), np.empty(y.shape)
-        d2, num, den = (np.full(np.broadcast(x, y).shape, -0.0) for _ in range(3))
-        nodes, values = self.nodes_xy.tolist(), self.values_deg.tolist()
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        size = math.prod(shape)
+        if size == 1:
+            # a reduction over one pixel adds pairwise; the first of two
+            # equal points adds node after node, as a pixel of a grid does
+            pair = self._fold(np.full(2, x.item()), np.full(2, y.item()), tile_values)
+            return pair[:1].reshape(shape)
+        x, y = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (x, y))
+        nodes_x, nodes_y, phases = (
+            c.reshape(-1, *(1,) * len(shape)) for c in (*self.nodes_xy.T, self.values_deg)
+        )
+        rows_total, per_row = shape[0], math.prod(shape[1:])
+        # the sums add node after node from -0.0, the identity of IEEE
+        # addition, so all -0.0 terms sum to -0.0
+        den, num = np.full(shape, -0.0), np.full(shape, -0.0)
+        band_rows = max(1, _BAND_PIXELS // max(per_row, 1))
+        bands = -(-rows_total // band_rows) if size else 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for (node_x, node_y), value in zip(nodes, values):
-                np.multiply(np.subtract(x, node_x, out=dx), dx, out=dx)
-                np.multiply(np.subtract(y, node_y, out=dy), dy, out=dy)
-                weight = np.divide(1.0, np.add(dx, dy, out=d2), out=d2)
-                den += weight
-                weight *= value
-                num += weight
+            # the bands split the rows evenly, so none is a lone pixel
+            for i in range(bands):
+                band = slice(rows_total * i // bands, rows_total * (i + 1) // bands)
+                x_band, y_band = (a[band] if a.shape[0] > 1 else a for a in (x, y))
+                band_den, band_num = den[band], num[band]
+                block = max(1, tile_values // (band_den.size + x_band.size + y_band.size))
+                # row 0 holds a running sum, the rows after it one block's
+                # terms: an outer-axis reduction adds its rows in order
+                rows = np.empty((min(block, len(phases)) + 1, *band_den.shape))
+                for start in range(0, len(phases), block):
+                    k = slice(start, start + block)
+                    dx = x_band - nodes_x[k]
+                    dx *= dx
+                    dy = y_band - nodes_y[k]
+                    dy *= dy
+                    tile = rows[: len(dx) + 1]
+                    terms = tile[1:]
+                    # dy + dx, which is dx + dy: numpy adds a contiguous
+                    # operand faster than a broadcast one
+                    np.copyto(terms, dy)
+                    terms += dx
+                    np.divide(1.0, terms, out=terms)
+                    tile[0] = band_den
+                    np.add.reduce(tile, axis=0, out=band_den, initial=-0.0)
+                    terms *= phases[k]
+                    tile[0] = band_num
+                    np.add.reduce(tile, axis=0, out=band_num, initial=-0.0)
             fail = ((den == 0.0) | np.isinf(den) | ~np.isfinite(num)) & ~np.isnan(den)
             num /= den
         if fail.any():
+            nodes, values = self.nodes_xy.tolist(), self.values_deg.tolist()
             px, py = (c[fail] for c in np.broadcast_arrays(x, y))
             best, nearest = np.full(px.shape, np.inf), np.full(px.shape, values[0])
             for (node_x, node_y), value in zip(nodes, values):
@@ -211,6 +264,14 @@ class RasterGrid:
                 f"values shape {self.values.shape} does not match "
                 f"{self.height}x{self.width}"
             )
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def cos_deg(degrees):
@@ -401,6 +462,11 @@ def render_grids(
     2*classical exactly, pixelwise; with a one-node phase field of 90
     degrees the interference grid equals the classical grid bit-for-bit.
     The window's bounds and its width and height must be finite.
+
+    The phase field is folded in tiles of 2**17 values (``evaluate``
+    takes 2**15), its rows split into min(usable CPUs, n*H*W // 2**20, H)
+    bands, each evaluated in its own thread with the caller running one.
+    The field's values depend on neither, so no output byte does.
     """
     x_min, x_max, y_min, y_max = (float(v) for v in window)
     if not (x_min < x_max and y_min < y_max):
@@ -415,10 +481,33 @@ def render_grids(
     ys = y_max - (np.arange(height) + 0.5) * ((y_max - y_min) / height)
     grid_x, grid_y = np.meshgrid(xs, ys, sparse=True)
 
+    # numpy lets go of the interpreter lock inside a band's larger calls, so
+    # bands run at once; a band of fewer than 2**20 node-pixel pairs loses
+    # more to handing the lock back and forth than it gains
+    pairs = phase.values_deg.size * width * height
+    bands = min(_usable_cpus(), pairs // 2**20, height)
+    if bands < 2:
+        phi = phase._fold(grid_x, grid_y, _RENDER_TILE_VALUES)
+    else:
+        # imported here: its 5 ms import would slow every command's start
+        from concurrent.futures import ThreadPoolExecutor
+
+        phi = np.empty((height, width))
+
+        def fill(i):
+            rows = slice(height * i // bands, height * (i + 1) // bands)
+            phi[rows] = phase._fold(grid_x, grid_y[rows], _RENDER_TILE_VALUES)
+
+        with ThreadPoolExecutor(bands - 1) as pool:
+            done = pool.map(fill, range(1, bands))
+            fill(0)
+            list(done)  # raises the first exception of another band
+    # the phase first, so that its bands' tiles and the four planes below
+    # are not held at once
     intensity_a, intensity_b = (f.intensity(grid_x, grid_y) for f in (field_a, field_b))
     classical = 0.5 * (intensity_a + intensity_b)
     modulation = np.sqrt(intensity_a * intensity_b)
-    interference = classical + modulation * cos_deg(phase.evaluate(grid_x, grid_y))
+    interference = classical + modulation * cos_deg(phi)
     planes = {"a_only": intensity_a, "b_only": intensity_b,
               "classical": classical, "interference": interference}
     return {name: RasterGrid(width, height, x_min, x_max, y_min, y_max, values)

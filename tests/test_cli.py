@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concept_interference import (
+    GaussianField,
     InfeasibilityError,
+    PhaseField,
     cli,
     parse_table,
     solve,
     validate_and_normalize,
+    wavefield,
 )
 from concept_interference.cli import (
     _encode_report,
@@ -728,6 +732,44 @@ class TestRenderCommand:
         infeasible_path.write_text(INFEASIBLE_CSV)
         infeasible = run("solve", str(infeasible_path), "-o", str(tmp_path / "i.json"))
         assert infeasible.returncode == 2
+
+    @pytest.mark.parametrize(
+        "message, printed",
+        [("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+          "and data type float64", None), ("", "out of memory")],
+        ids=["numpy", "bare"],
+    )
+    def test_render_out_of_memory_exits_1(
+        self, dataset_path, tmp_path, capsys, monkeypatch, message, printed
+    ):
+        def no_room(field, x, y):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(GaussianField, "intensity", no_room)
+        out_dir = tmp_path / "out"
+        assert main(["render", str(dataset_path), "-o", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {printed or message}\n"
+        assert not out_dir.exists()
+
+    def test_render_out_of_memory_in_another_band_exits_1(
+        self, dataset_path, tmp_path, capsys, monkeypatch
+    ):
+        # 24 exemplars on 300 x 300 pixels are 2.16e6 node-pixel pairs: two
+        # bands when two CPUs are usable, the second in a worker thread
+        monkeypatch.setattr(wavefield, "_usable_cpus", lambda: 2)
+        fold = PhaseField._fold
+
+        def no_room_in_a_worker(field, x, y, tile_values):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room in a worker band")
+            return fold(field, x, y, tile_values)
+
+        monkeypatch.setattr(PhaseField, "_fold", no_room_in_a_worker)
+        out_dir = tmp_path / "out"
+        argv = ["render", str(dataset_path), "-o", str(out_dir), "--resolution", "300"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: no room in a worker band\n"
+        assert not out_dir.exists()
 
     def test_render_determinism(self, dataset_path, tmp_path):
         for name in ("one", "two"):

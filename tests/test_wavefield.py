@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -23,7 +24,7 @@ from concept_interference import (
     render_grids,
     solve,
 )
-from concept_interference import parse_table
+from concept_interference import parse_table, wavefield
 from concept_interference.wavefield import cos_deg
 
 from conftest import feasible_tables, make_table
@@ -526,6 +527,26 @@ def _reference_pixelwise(field, x, y):
     return pair[:1].reshape(shape)
 
 
+def _tile_input(rng, kind, small):
+    """Points ``x, y`` of one kind and the nodes per block that
+    ``PhaseField.evaluate`` takes on them: 2**15 // (band + x_band.size +
+    y_band.size), with bands of at most 4096 pixels.  The large grids (72
+    rows of 64) and point sets (4097) span two bands; ``small`` ones one."""
+    rows, columns, points = (20, 24, 500) if small else (72, 64, 4097)
+    xs, ys = rng.uniform(-1.2, 1.2, columns), rng.uniform(-1.2, 1.2, rows)
+    px, py = rng.uniform(-1.2, 1.2, (2, points))
+    band = rows // 2 if not small else rows  # rows per band
+    point_band = -(-points // 2) if not small else points
+    return {
+        "sparse axes": (*np.meshgrid(xs, ys, sparse=True),
+                        2**15 // (band * columns + columns + band)),
+        "full grid": (*np.meshgrid(xs, ys), 2**15 // (3 * band * columns)),
+        "1-D points": (px, py, 2**15 // (3 * point_band)),
+        # evaluated as the first of two equal points
+        "lone point": (px[0], py[0], 2**15 // (3 * 2)),
+    }[kind]
+
+
 _COORDINATES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -2.5]),
     st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False),
@@ -619,18 +640,55 @@ class TestPhaseField:
 
     def test_memory_does_not_grow_with_nodes(self):
         xs = np.linspace(-1.0, 1.0, 64)
-        grid_x, grid_y = np.meshgrid(xs, xs)
+        plane = 64 * 64 * 8
         rng = np.random.default_rng(3)
-        sixteen_planes = 16 * grid_x.nbytes
-        for n in (2000, 20):
-            field = PhaseField(rng.uniform(-1, 1, size=(n, 2)), rng.uniform(-90, 90, size=n))
-            tracemalloc.start()
-            try:
-                field.evaluate(grid_x, grid_y)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < sixteen_planes, (n, peak)
+        for sparse in (False, True):
+            grid_x, grid_y = np.meshgrid(xs, xs, sparse=sparse)
+            # the first evaluation in a process makes numpy's one-off allocations
+            _one_node(0.0).evaluate(grid_x, grid_y)
+            peaks = {}
+            for n in (2000, 20):
+                field = PhaseField(rng.uniform(-1, 1, size=(n, 2)), rng.uniform(-90, 90, size=n))
+                tracemalloc.start()
+                try:
+                    field.evaluate(grid_x, grid_y)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peaks[n] < 16 * plane, (sparse, n, peaks[n])
+            assert abs(peaks[2000] - peaks[20]) <= 0.01 * plane, (sparse, peaks)
+
+    @pytest.mark.parametrize("nodes", ["3 blocks + 1", 2000])
+    @pytest.mark.parametrize("kind", ["sparse axes", "full grid", "1-D points", "lone point"])
+    def test_tiles_match_broadcast_formula_bitwise(self, kind, nodes):
+        rng = np.random.default_rng(11)
+        x, y, block = _tile_input(rng, kind, small=nodes == 2000)
+        n = 3 * block + 1 if nodes != 2000 else nodes
+        field = PhaseField(rng.uniform(-1, 1, (n, 2)), rng.uniform(-180, 180, n))
+        got = field.evaluate(x, y)
+        want = np.asarray(_reference_pixelwise(field, x, y))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sparse axes", "full grid", "1-D points", "lone point"])
+    def test_zero_phases_keep_their_sign_bitwise(self, kind):
+        rng = np.random.default_rng(12)
+        x, y, block = _tile_input(rng, kind, small=False)
+        n = 3 * block + 1
+        for values in (np.full(n, -0.0), rng.choice([0.0, -0.0], n)):
+            field = PhaseField(rng.uniform(-1, 1, (n, 2)), values)
+            got = field.evaluate(x, y)
+            want = np.asarray(_reference_pixelwise(field, x, y))
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(_one_node(-0.0).evaluate(x, y)).all()
+
+    def test_row_slices_stack_to_one_call(self):
+        rng = np.random.default_rng(13)
+        grid_x, grid_y, _ = _tile_input(rng, "sparse axes", small=False)
+        field = PhaseField(rng.uniform(-1, 1, (500, 2)), rng.uniform(-180, 180, 500))
+        bounds = (0, 1, 30, 37, len(grid_y))
+        parts = [field.evaluate(grid_x, grid_y[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert np.vstack(parts).tobytes() == field.evaluate(grid_x, grid_y).tobytes()
 
     @pytest.mark.parametrize("value", [-0.0, 90.0, 180.0, -180.0, 37.123456789])
     @pytest.mark.parametrize(
@@ -727,6 +785,34 @@ class TestRenderGrids:
         assert np.allclose(
             grids["interference"].values, amplitude_sum, atol=1e-12
         )
+
+    def test_bands_in_threads_equal_one_call(
+        self, reference_table, reference_fields, reference_placements, monkeypatch
+    ):
+        # 24 nodes on 400 x 400 pixels are 3.84e6 node-pixel pairs: three
+        # bands, each in its own thread, when three CPUs are usable
+        monkeypatch.setattr(wavefield, "_usable_cpus", lambda: 3)
+        callers = []
+        fold = PhaseField._fold
+
+        def fold_in_thread(field, x, y, tile_values):
+            callers.append(threading.get_ident())
+            return fold(field, x, y, tile_values)
+
+        monkeypatch.setattr(PhaseField, "_fold", fold_in_thread)
+        phase = interpolate_phase(reference_placements, solve(reference_table).phi_deg)
+        window = default_window(reference_placements, *reference_fields)
+        grids = render_grids(*reference_fields, phase, window, (400, 400))
+        assert len(callers) == 3 and callers.count(threading.get_ident()) == 1
+        x_min, x_max, y_min, y_max = window
+        xs = x_min + (np.arange(400) + 0.5) * ((x_max - x_min) / 400)
+        ys = y_max - (np.arange(400) + 0.5) * ((y_max - y_min) / 400)
+        grid_x, grid_y = np.meshgrid(xs, ys, sparse=True)
+        intensity_a, intensity_b = (f.intensity(grid_x, grid_y) for f in reference_fields)
+        classical = 0.5 * (intensity_a + intensity_b)
+        modulation = np.sqrt(intensity_a * intensity_b)
+        want = classical + modulation * cos_deg(phase.evaluate(grid_x, grid_y))
+        assert grids["interference"].values.tobytes() == want.tobytes()
 
     def test_peak_memory_below_ten_planes(
         self, reference_table, reference_fields, reference_placements
