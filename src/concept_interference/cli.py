@@ -507,9 +507,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    # usage, I/O and data errors from any command: exit 1 with the message;
-    # the commands themselves turn infeasibility into exit 2
-    except (_UsageError, OSError, ConceptInterferenceError) as exc:
+    # usage, I/O, decoding and data errors from any command: exit 1 with the
+    # message; the commands themselves turn infeasibility into exit 2
+    except (_UsageError, OSError, UnicodeDecodeError, ConceptInterferenceError) as exc:
         return _fail(str(exc))
     # numpy names the allocation it could not make (render at a resolution
     # whose planes do not fit); a bare MemoryError has no message

@@ -128,11 +128,13 @@ class PlacementMap:
 class PhaseField:
     """Inverse-distance-squared interpolant over exemplar phase nodes.
 
-    Nodes and phases must be finite.  Exact at every node and clamped to the
-    node extremes, so values never leave [min phi_k, max phi_k], and a
-    one-node field is its phase everywhere.  Evaluation is Shepard's
-    interpolation folded in node tiles: bands of at most 4096 output pixels
-    along the first axis take the nodes in blocks of
+    Nodes and phases must be finite, and nodes may coincide: a location
+    shared by several nodes takes the first one's phase (the nearest-node
+    rule below), and near it they blend with equal weights.  Exact at every
+    other node and clamped to the node extremes, so values never leave
+    [min phi_k, max phi_k], and a one-node field is its phase everywhere.
+    Evaluation is Shepard's interpolation folded in node tiles: bands of at
+    most 4096 output pixels along the first axis take the nodes in blocks of
     ``2**15 // (band + x_band.size + y_band.size)`` (``2**17 // ...`` in
     ``render_grids``), and each block's weights and weighted phases are
     added into running weight and phase planes by an outer-axis
@@ -164,8 +166,6 @@ class PhaseField:
             raise ValidationError(
                 f"location {(*nodes[k].tolist(),)!r} of node {k + 1} is not finite"
             )
-        if len(np.unique(nodes, axis=0)) != nodes.shape[0]:
-            raise ValidationError("duplicate node locations")
         if not (finite := np.isfinite(values)).all():
             k = int(finite.argmin())
             raise ValidationError(
@@ -317,17 +317,20 @@ def fit_gaussian_fields(
             "the two fields need distinct top exemplars"
         )
 
-    def width(column: np.ndarray, far_index: int, label: str) -> float:
+    def width(column: np.ndarray, far_index: int, field: str, far: str) -> float:
         ratio = column.max() / column[far_index]
         if not ratio > 1.0:
+            label = f"mu_{field.lower()}"
             raise FitError(
-                f"cannot fit {label}: intensity at the far center would not "
-                f"fall below the peak (ratio {ratio!r})"
+                f"cannot fit field {field}: exemplar {far_index + 1} "
+                f"({table.names[far_index]}) at center {far} has {label} = "
+                f"{float(column[far_index])!r}, which ties the peak of {label}, "
+                "so the field would not fall below its peak there"
             )
         return distance / math.sqrt(2.0 * math.log(ratio))
 
-    field_a = GaussianField((ax, ay), width(mu_a, top_b, "field A"), float(mu_a.max()))
-    field_b = GaussianField((bx, by), width(mu_b, top_a, "field B"), float(mu_b.max()))
+    field_a = GaussianField((ax, ay), width(mu_a, top_b, "A", "B"), float(mu_a.max()))
+    field_b = GaussianField((bx, by), width(mu_b, top_a, "B", "A"), float(mu_b.max()))
     return field_a, field_b
 
 

@@ -215,6 +215,22 @@ class TestSolveCommand:
         assert status == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "classify", "render", "verify"])
+    def test_undecodable_input_exits_1(self, dataset_path, tmp_path, capsys, command):
+        # a Latin-1 "e acute" (0xe9) or "u umlaut" (0xfc) is not UTF-8
+        text = b"exemplar,mu_a,mu_b,mu_ab\nCaf\xe9,0.5,0.5,0.5\nB,0.5,0.5,0.5\n"
+        path = tmp_path / "latin1.csv"
+        argv = [str(path)] + (["-o", str(tmp_path / "out")] if command == "render" else [])
+        if command == "verify":
+            assert main(["solve", str(dataset_path), "-o", str(path)]) == 0
+            text = path.read_bytes().replace(b'"Fruits"', b'"Fr\xfcits"')
+        path.write_bytes(text)
+        assert main([command, *argv]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: 'utf-8' codec can't decode byte 0x")
+        assert "Traceback" not in error
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_input_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("exemplar,mu_a,mu_b,mu_ab\nA,0.5,zzz,0.5\n")
@@ -690,6 +706,60 @@ class TestRenderCommand:
             "circles leaves the float range\n"
         )
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("A,0.6,0.6,0.5\nB,0.4,0.4,0.5\n",
+             "exemplar 1 (A) tops both columns; the two fields need distinct "
+             "top exemplars"),
+            ("A,0.3,0.1,0.2\nB,0.2,0.2,0.2\nC,0.2,0.2,0.2\nD,0.3,0.5,0.4\n",
+             "cannot fit field A: exemplar 4 (D) at center B has mu_a = 0.3, "
+             "which ties the peak of mu_a, so the field would not fall below "
+             "its peak there"),
+        ],
+        ids=["shared-top", "far-center-ties-the-peak"],
+    )
+    def test_field_fit_failures_exit_1_naming_the_exemplar(
+        self, tmp_path, capsys, rows, message
+    ):
+        path = tmp_path / "table.csv"
+        path.write_text("exemplar,mu_a,mu_b,mu_ab\n" + rows)
+        out_dir = tmp_path / "x"
+        assert main(["render", str(path), "-o", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "rows, shared",
+        [
+            # B and D meet on level circles, both at even indices
+            ("A,0.4,0.05,0.2\nB,0.2,0.2,0.25\nC,0.1,0.1,0.1\n"
+             "D,0.2,0.2,0.15\nE,0.05,0.4,0.25\nF,0.05,0.05,0.05\n",
+             [("B", "D")]),
+            # B and C fall back to the center line; D ties the top of mu_a
+            # and sits on A at center A
+            ("A,0.3,0.2,0.27\nB,0.1,0.05,0.075\nC,0.1,0.05,0.075\n"
+             "D,0.3,0.2,0.23\nE,0.1,0.2,0.15\nF,0.1,0.3,0.2\n",
+             [("B", "C"), ("A", "D")]),
+        ],
+        ids=["meeting-circles", "center-line-and-center"],
+    )
+    def test_exemplars_sharing_a_placement_render(self, tmp_path, rows, shared):
+        path = tmp_path / "table.csv"
+        path.write_text("exemplar,mu_a,mu_b,mu_ab\n" + rows)
+        out_dir = tmp_path / "shared"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["render", str(path), "-o", str(out_dir), "--resolution", "8"]) == 0
+        assert len(list(out_dir.iterdir())) == 9
+        for csv_path in out_dir.glob("*.csv"):
+            assert "nan" not in csv_path.read_text().lower(), csv_path.name
+        lines = (out_dir / "placements.csv").read_text().splitlines()[1:]
+        places = {line.split(",")[0]: line.split(",")[1:3] for line in lines}
+        for first, second in shared:
+            assert places[first] == places[second]
+        assert len({tuple(place) for place in places.values()}) == 6 - len(shared)
 
     def test_centers_past_the_padding_spacing_need_a_window(
         self, dataset_path, tmp_path, capsys

@@ -129,6 +129,20 @@ class TestFit:
         with pytest.raises(FitError, match="top"):
             fit_gaussian_fields(table)
 
+    def test_far_center_tying_the_peak_rejected(self):
+        # the top of mu_b, exemplar 4, ties the top of mu_a, which the first
+        # exemplar takes, so field A would not fall from center A to center B
+        table = make_table(
+            [0.3, 0.2, 0.2, 0.3], [0.1, 0.2, 0.2, 0.5], [0.2, 0.2, 0.2, 0.4]
+        )
+        with pytest.raises(FitError) as excinfo:
+            fit_gaussian_fields(table)
+        assert str(excinfo.value) == (
+            "cannot fit field A: exemplar 4 (E4) at center B has mu_a = 0.3, "
+            "which ties the peak of mu_a, so the field would not fall below its "
+            "peak there"
+        )
+
     def test_intensity_past_the_float_range_is_zero(self):
         # the squared offset overflows to inf, and exp(-inf) is exactly 0
         with warnings.catch_warnings():
@@ -602,7 +616,7 @@ class TestPhaseField:
     @settings(max_examples=150, deadline=None)
     def test_streaming_pass_matches_broadcast_formula_bitwise(self, data):
         nodes = data.draw(
-            st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=24, unique=True)
+            st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=24)
         )
         values = data.draw(st.lists(_PHASES, min_size=len(nodes), max_size=len(nodes)))
         others = data.draw(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=5))
@@ -717,13 +731,19 @@ class TestPhaseField:
         with pytest.raises(ValidationError, match=message):
             PhaseField(np.array([[0.0, 0.0], node]), [45.0, 90.0])
 
-    def test_duplicate_nodes_rejected(self):
-        from concept_interference import PhaseField
-
-        with pytest.raises(ValidationError, match="duplicate"):
-            PhaseField(
-                np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([1.0, 2.0])
-            )
+    def test_coincident_nodes_read_the_first_node(self):
+        # nodes 1 and 3 share (0, 0), nodes 2 and 4 share (1, 0)
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.5, 2.0]])
+        field = PhaseField(nodes, np.array([-30.0, 60.0, 45.0, -90.0, 10.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert field.evaluate(0.0, 0.0) == -30.0
+            assert field.evaluate(1.0, 0.0) == 60.0
+            axis = np.linspace(-1.0, 2.0, 13)  # holds 0 and 1
+            got = field.evaluate(*np.meshgrid(axis, axis, sparse=True))
+        want = _reference_phase(field, *np.meshgrid(axis, axis, sparse=True))
+        assert got.tobytes() == want.tobytes()
+        assert got[4, 4] == -30.0 and got[4, 8] == 60.0
 
     def test_one_phase_per_placement(self, reference_placements):
         message = r"one phase per node: \(23,\) vs nodes \(24, 2\)$"
