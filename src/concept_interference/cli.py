@@ -91,13 +91,6 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise _UsageError(f"non-numeric value in {what}: {text!r}") from None
 
 
-def complex_pairs(vector: np.ndarray) -> list[dict[str, float]]:
-    return [
-        {"re": re, "im": im}
-        for re, im in zip(vector.real.tolist(), vector.imag.tolist())
-    ]
-
-
 def _exemplar_rows(
     table: TypicalityTable, deviations: np.ndarray, model: dict
 ) -> list[dict]:
@@ -161,8 +154,10 @@ def build_solve_report(
     model = {
         "m": solution.m,
         "c_m": solution.c_m,
-        "vector_a": complex_pairs(solution.vector_a),
-        "vector_b": complex_pairs(solution.vector_b),
+        **{
+            key: [{"re": re, "im": im} for re, im in zip(v.real.tolist(), v.imag.tolist())]
+            for key, v in (("vector_a", solution.vector_a), ("vector_b", solution.vector_b))
+        },
         "residuals": asdict(solution.residuals),
     }
     feasibility = {
@@ -515,7 +510,3 @@ def main(argv=None) -> int:
     # whose planes do not fit); a bare MemoryError has no message
     except MemoryError as exc:
         return _fail(str(exc) or "out of memory")
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

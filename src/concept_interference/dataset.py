@@ -28,7 +28,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, replace
 from importlib import resources
-from typing import NamedTuple, TextIO
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,24 +184,23 @@ def _row_problem(fields: list[str] | csv.Error) -> str | None:
     return None
 
 
-def _table_at_lines(records, line_numbers, **metadata) -> TypicalityTable:
-    """The table of the CSV data records, a row problem reported at its line."""
+def _table_at_lines(rows, line_numbers, **metadata) -> TypicalityTable:
+    """The table of the CSV data rows, a row problem reported at its line."""
     try:
-        return TypicalityTable(records, **metadata)
+        return TypicalityTable(((i, *row) for i, row in enumerate(rows, 1)), **metadata)
     except ValidationError as exc:
         if exc.position is None:
             raise
         raise ParseError(str(exc), line_numbers[exc.position - 1]) from exc
 
 
-def parse_table(source: str | TextIO) -> TypicalityTable:
-    """Parse CSV text (or a readable text stream) into a TypicalityTable.
+def parse_table(text: str) -> TypicalityTable:
+    """Parse CSV text into a TypicalityTable.
 
     Raises ParseError with the 1-based line number of the first malformed
     row, and ValidationError for table-level problems (duplicate names, no
     data rows).
     """
-    text = source if isinstance(source, str) else source.read()
     lines = text.removeprefix("\ufeff").splitlines()
 
     labels = {"label_a": "A", "label_b": "B", "combination_label": "A or B"}
@@ -244,18 +243,19 @@ def parse_table(source: str | TextIO) -> TypicalityTable:
     if not rows:
         raise ValidationError("table has no exemplar rows")
     try:
-        names, *cells = zip(*rows, strict=True)
-        mu_a, mu_b, mu_ab = ([*map(float, column)] for column in cells)
+        # the constructor converts the cells: a row that is not a name and
+        # three numbers (a csv.Error among them) raises TypeError or ValueError
+        return _table_at_lines(rows, numbers, notes=notes, **labels)
+    except (ParseError, ValidationError):  # ValueErrors raised once the cells convert
+        raise
     except (TypeError, ValueError):
         # the first line that is not a name and three numbers, after any
         # problem in a row above it; duplicate names count once all are read
         problems = map(_row_problem, rows)
         k, problem = next((k, p) for k, p in enumerate(problems) if p)
         with contextlib.suppress(ValidationError):
-            _table_at_lines(((i, *row) for i, row in enumerate(rows[:k], 1)), numbers)
+            _table_at_lines(rows[:k], numbers)
         raise ParseError(problem, numbers[k]) from None
-    records = zip(range(1, len(rows) + 1), names, mu_a, mu_b, mu_ab)
-    return _table_at_lines(records, numbers, notes=notes, **labels)
 
 
 def validate_and_normalize(

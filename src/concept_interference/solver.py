@@ -258,16 +258,15 @@ def compute_cm(table: TypicalityTable, lambdas, m: int) -> float:
 def compute_phases(
     table: TypicalityTable, lambdas, m: int, c_m: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interference phases phi_k in degrees, and a copy of them.
+    """Interference phases phi_k in degrees, returned twice as one array.
 
     Each phase is the argument of its row's interference term (d_k,
     lambda_k) = c_k sqrt(mu_a_k mu_b_k) (cos phi_k, sin phi_k): phi_k =
     atan2(lambda_k, d_k) for k != m, and phi_m = atan2(|s|, d_m), where s
     is the off-m lambda sum that exemplar m's term cancels (its scale c_m
     sqrt(mu_a_m mu_b_m) drops out).  A zero lambda, or a zero s for m, puts
-    its row on the boundary: a phase of exactly 0 or 180 degrees.  The
-    second array is a copy of the first, kept only for callers that unpack
-    two.
+    its row on the boundary: a phase of exactly 0 or 180 degrees.  Both
+    items are the same array, kept as a pair for callers that unpack two.
     """
     lambdas = _checked_stage_inputs(table, lambdas, "lambdas", m, c_m)
     # + 0.0 turns a -0.0 lambda into +0.0, so a boundary row at d < 0 reads
@@ -279,7 +278,7 @@ def compute_phases(
         math.degrees(math.atan2(y, x))
         for y, x in zip(sines.tolist(), compute_deviations(table).tolist())
     ])
-    return phi, phi.copy()
+    return phi, phi
 
 
 def build_state_vectors(

@@ -65,20 +65,6 @@ class GaussianField:
         dy = np.asarray(y, dtype=float) - self.center[1]
         return self.peak * np.exp(-(dx * dx + dy * dy) / (2.0 * self.sigma**2))
 
-    @np.errstate(over="ignore", divide="ignore")
-    def level_radius(self, fractions) -> np.ndarray:
-        """Radii where intensity falls to each of ``fractions`` of the peak;
-        each must be in (0, 1] with a finite reciprocal (above about 5.6e-309)."""
-        fractions = np.asarray(fractions, dtype=float)
-        inverses = 1.0 / fractions
-        if not ((fractions > 0.0) & (fractions <= 1.0) & np.isfinite(inverses)).all():
-            raise ValidationError(
-                f"fractions must be in (0, 1] with a finite reciprocal: {fractions!r}"
-            )
-        # scalar libm log: np.log differs from it in the last ulp on some inputs
-        logs = [*map(math.log, inverses.ravel().tolist())]
-        return self.sigma * np.sqrt(2.0 * np.reshape(logs, fractions.shape))
-
 
 def _squares(values: np.ndarray) -> np.ndarray:
     """``v ** 2`` of each value, which is libm ``pow``: ``v * v`` differs
@@ -367,17 +353,20 @@ def place_exemplars(
     free = np.ones(n, dtype=bool)
     free[top_a] = free[top_b] = False
     # a pinned top exemplar takes fraction 1 here and its center below
-    fraction_a, fraction_b = (np.where(free, mu / mu.max(), 1.0) for mu in (mu_a, mu_b))
-    no_curve_a, no_curve_b = (~np.isfinite(1.0 / f) for f in (fraction_a, fraction_b))
-    if (no_curve := no_curve_a | no_curve_b).any():
+    inverses = [1.0 / np.where(free, mu / mu.max(), 1.0) for mu in (mu_a, mu_b)]
+    if (no_curve := ~np.isfinite(inverses).all(axis=0)).any():
         k = int(no_curve.argmax())
-        label, mu = ("mu_a", mu_a) if no_curve_a[k] else ("mu_b", mu_b)
+        label, mu = ("mu_a", mu_a) if not np.isfinite(inverses[0][k]) else ("mu_b", mu_b)
         raise ValidationError(
             f"exemplar {k + 1} ({table.names[k]}): {label} = {float(mu[k])!r} "
             "has no level curve"
         )
-    radius_a = field_a.level_radius(fraction_a)
-    radius_b = field_b.level_radius(fraction_b)
+    # level radii sigma sqrt(2 log(1 / fraction)), by scalar libm log: np.log
+    # differs from it in the last ulp on some inputs
+    radius_a, radius_b = (
+        field.sigma * np.sqrt(2.0 * np.array([*map(math.log, inverse.tolist())]))
+        for field, inverse in zip((field_a, field_b), inverses)
+    )
 
     # circles that meet: the chord's foot lies ``along`` the center line,
     # the chosen point ``lateral`` to its left (even index) or right (odd);

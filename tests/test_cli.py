@@ -238,6 +238,17 @@ class TestSolveCommand:
         assert status == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_label_starting_with_the_comment_marker_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "label.csv"
+        path.write_text(
+            "# label_a: #Fruits\nexemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\nB,0.5,0.5,0.5\n"
+        )
+        assert main(["solve", str(path), "-o", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: label_a '#Fruits' starts with the comment marker '#'\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_out_of_tolerance_sum_exits_1(self, tmp_path, capsys):
         path = tmp_path / "half.csv"
         path.write_text("exemplar,mu_a,mu_b,mu_ab\nA,0.2,0.5,0.5\nB,0.3,0.5,0.5\n")
@@ -431,6 +442,14 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
         capsys.readouterr()
 
+    def test_verify_non_json_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("not json\n")
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Expecting value: line 1 column 1 (char 0)\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -547,6 +566,18 @@ class TestClassifyCommand:
         out = capsys.readouterr().out
         assert "note:" in out
         assert "Watercress" in out.split("note:")[1]
+
+    def test_infeasible_table_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "infeasible.csv"
+        path.write_text(INFEASIBLE_CSV)
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "infeasible: interference magnitude is undefined (negative radicand) "
+            "for exemplar(s) 1 (bad): the deviation exceeds the geometric mean "
+            "of the marginals\n"
+        )
+        assert captured.out == ""
 
     def test_all_classical_table(self, tmp_path, capsys):
         path = tmp_path / "classical.csv"
@@ -675,7 +706,7 @@ class TestRenderCommand:
 
     def test_overflowing_center_distance_exits_1(self, dataset_path, tmp_path):
         result = subprocess.run(
-            [sys.executable, "-m", "concept_interference.cli", "render",
+            [sys.executable, "-m", "concept_interference", "render",
              str(dataset_path), "-o", str(tmp_path / "x"), "--centers=0,0,1e160,0"],
             capture_output=True,
             text=True,
@@ -781,6 +812,15 @@ class TestRenderCommand:
         assert status == 1
         assert "--centers" in capsys.readouterr().err
 
+    def test_non_numeric_centers_exit_1(self, dataset_path, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        status = main(["render", str(dataset_path), "-o", str(out_dir), "--centers=a,0,10,4"])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: non-numeric value in --centers: 'a,0,10,4'\n"
+        )
+        assert not out_dir.exists()
+
     def test_infeasible_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "infeasible.csv"
         path.write_text(INFEASIBLE_CSV)
@@ -790,7 +830,7 @@ class TestRenderCommand:
 
     def test_exit_codes_through_a_real_process(self, dataset_path, tmp_path):
         run = lambda *args: subprocess.run(
-            [sys.executable, "-m", "concept_interference.cli", *args],
+            [sys.executable, "-m", "concept_interference", *args],
             capture_output=True,
             text=True,
         )

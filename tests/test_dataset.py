@@ -167,6 +167,19 @@ class TestParse:
             ParseError, str(excinfo.value), 3
         )
 
+    def test_header_over_the_field_limit_fails_at_line_1(self):
+        text = "exemplar,mu_a,mu_b,mu_ab" + "x" * csv.field_size_limit()
+        text += "\nPear,0.5,0.75,0.75\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_table(text)
+        assert str(excinfo.value) == (
+            "line 1: unparseable CSV row: field larger than field limit (131072)"
+        )
+        assert excinfo.value.line_number == 1
+        assert _parse_outcome(reference_parse_table, text) == (
+            ParseError, str(excinfo.value), 1
+        )
+
     def test_duplicate_name_after_comments_keeps_its_text(self):
         text = "exemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\n# c\n\nB,0.5,0.5,0.5\nA,0.5,0.5,0.5\n"
         with pytest.raises(ValidationError) as excinfo:
@@ -184,6 +197,16 @@ class TestParse:
         text = "exemplar,mu_a,mu_b,mu_ab\nA,0.5,0.5,0.5\nA,0.5,0.5,0.5\n"
         with pytest.raises(ValidationError, match="duplicate"):
             parse_table(text)
+
+    def test_header_without_rows_rejected(self):
+        text = "exemplar,mu_a,mu_b,mu_ab\n# no rows\n\n"
+        with pytest.raises(ValidationError) as excinfo:
+            parse_table(text)
+        assert type(excinfo.value) is ValidationError
+        assert str(excinfo.value) == "table has no exemplar rows"
+        assert _parse_outcome(reference_parse_table, text) == (
+            ValidationError, str(excinfo.value), None
+        )
 
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
@@ -267,6 +290,26 @@ class TestTableInvariants:
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ValidationError):
             make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], names=[bad, "ok"])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((1, 7, 0.5, 0.5, 0.5), "exemplar name must be text, got int"),
+            ((0, "A", 0.5, 0.5, 0.5), "exemplar index must be >= 1, got 0"),
+        ],
+        ids=["int-name", "index-0"],
+    )
+    def test_first_row_problem_names_position_1(self, row, message):
+        with pytest.raises(ValidationError) as excinfo:
+            TypicalityTable([row, (2, "B", 0.5, 0.5, 0.5)])
+        assert str(excinfo.value) == message
+        assert excinfo.value.position == 1
+
+    def test_equal_tables_hash_equal(self, raw_table):
+        copy = parse_table(_render_csv(raw_table))
+        assert copy is not raw_table and copy == raw_table
+        assert hash(copy) == hash(raw_table)
+        assert len({copy, raw_table}) == 1
 
     def test_bare_text_notes_rejected(self):
         # a str is iterable, but its characters are not its notes

@@ -209,6 +209,18 @@ class TestClosingCoefficient:
             compute_cm(table, np.array([0.1, 2.0]), 1)
         assert excinfo.value.report.cm_violation > 1.0
 
+    def test_overshoot_within_the_slack_clamps_to_one(self):
+        # c_m = 2 * lambda_2 here: 1 + 2e-10 lies within the rounding slack
+        # of 1e-9 and reads as exactly 1, 1 + 1e-8 lies beyond it
+        table = make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
+        assert compute_cm(table, np.array([0.0, 0.5 * (1 + 2e-10)]), 1) == 1.0
+        with pytest.raises(InfeasibilityError) as excinfo:
+            compute_cm(table, np.array([0.0, 0.5 * (1 + 1e-8)]), 1)
+        assert str(excinfo.value) == (
+            "closing coefficient c_m = 1.00000001 exceeds 1: the signed "
+            "magnitudes cannot be cancelled on exemplar 1 (E1)"
+        )
+
     def test_zero_marginal_product_at_m_names_exemplar(self):
         # an unnormalized table can reach compute_cm with mu_a_m = 0
         table = make_table([0.0, 0.5], [0.5, 0.5], [0.5, 0.5], names=["Kale", "Fig"])
@@ -236,7 +248,7 @@ class TestPhases:
         phi, beta = compute_phases(table, lambdas, 1, 1.0)
         assert phi[0] == 90.0
         assert phi[1] == -90.0
-        assert beta[0] == 90.0
+        assert beta is phi
 
     @pytest.mark.parametrize("c_m", [0.0, 1.5, math.nan])
     def test_closing_coefficient_outside_unit_interval_rejected(

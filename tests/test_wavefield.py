@@ -143,6 +143,17 @@ class TestFit:
             "peak there"
         )
 
+    @pytest.mark.parametrize(
+        "sigma, peak, message",
+        [(0.0, 1.0, "sigma must be positive, got 0.0"),
+         (1.0, math.nan, "peak must be positive, got nan")],
+        ids=["zero-sigma", "nan-peak"],
+    )
+    def test_non_positive_width_or_peak_rejected(self, sigma, peak, message):
+        with pytest.raises(FitError) as excinfo:
+            GaussianField((0.0, 0.0), sigma, peak)
+        assert str(excinfo.value) == message
+
     def test_intensity_past_the_float_range_is_zero(self):
         # the squared offset overflows to inf, and exp(-inf) is exactly 0
         with warnings.catch_warnings():
@@ -157,19 +168,6 @@ class TestFit:
         # intensity 0
         with pytest.raises(FitError, match=r"^center must be finite, got \("):
             GaussianField(center, 1.0, 1.0)
-
-    @pytest.mark.parametrize("fraction", [1e-320, 5e-309, 0.0, -0.5, 1.5, math.nan])
-    def test_level_radius_rejects_fractions_without_a_finite_radius(self, fraction):
-        # 1 / 1e-320 and 1 / 5e-309 overflow to inf, as 1 / 0 does
-        field = GaussianField((0.0, 0.0), 1.0, 0.5)
-        with pytest.raises(ValidationError, match="finite reciprocal"):
-            field.level_radius([0.5, fraction])
-
-    def test_level_radius_at_the_edge_of_its_domain(self):
-        field = GaussianField((0.0, 0.0), 2.0, 0.5)
-        fractions = [1.0, 0.5, 1e-300, 6e-309]
-        expected = [2.0 * math.sqrt(2.0 * math.log(1.0 / f)) for f in fractions]
-        assert field.level_radius(fractions).tolist() == expected
 
 
 def _circle_intersections(center_a, radius_a, center_b, radius_b):
@@ -217,6 +215,11 @@ def _nearest_on_center_line(center_a, radius_a, center_b, radius_b):
     return (ax + best_t * ux, ay + best_t * uy), violation(best_t)
 
 
+def _level_radius(field, fraction):
+    """The radius where ``field`` falls to ``fraction`` of its peak."""
+    return field.sigma * math.sqrt(2.0 * math.log(1.0 / fraction))
+
+
 def _reference_placements(table, field_a, field_b):
     """(x, y, residual) per exemplar by the per-exemplar loop of scalar
     geometry that the array-wise ``place_exemplars`` replaced, kept here as
@@ -231,13 +234,8 @@ def _reference_placements(table, field_a, field_b):
         elif k == top_b:
             location, residual = field_b.center, 0.0
         else:
-            radius_a, radius_b = (
-                field.sigma * math.sqrt(2.0 * math.log(1.0 / fraction))
-                for field, fraction in (
-                    (field_a, float(mu_a[k]) / max_a),
-                    (field_b, float(mu_b[k]) / max_b),
-                )
-            )
+            radius_a = _level_radius(field_a, float(mu_a[k]) / max_a)
+            radius_b = _level_radius(field_b, float(mu_b[k]) / max_b)
             circles = (field_a.center, radius_a, field_b.center, radius_b)
             pair = _circle_intersections(*circles)
             if pair is not None:
@@ -335,8 +333,8 @@ class TestPlacement:
         # brute-force scan oracle: no point on the center line may beat the
         # fallback placement by more than float noise
         table, field_a, field_b = _half_peak_setup(radius_a, radius_b, d)
-        radius_a = float(field_a.level_radius(0.5))
-        radius_b = float(field_b.level_radius(0.5))
+        radius_a = _level_radius(field_a, 0.5)
+        radius_b = _level_radius(field_b, 0.5)
         assume(
             d > radius_a + radius_b or d < abs(radius_a - radius_b)
         )  # otherwise the circles intersect and the fallback is unused
@@ -383,8 +381,8 @@ class TestPlacement:
         # the center distance is set from the level radii themselves, so
         # the circles touch to the last bit
         table, field_a, field_b = _half_peak_setup(2.0, 0.5, 1.0)
-        radius_a = float(field_a.level_radius(0.5))
-        radius_b = float(field_b.level_radius(0.5))
+        radius_a = _level_radius(field_a, 0.5)
+        radius_b = _level_radius(field_b, 0.5)
         d = radius_a - radius_b if inner else radius_a + radius_b
         field_b = GaussianField((d, 0.0), field_b.sigma, field_b.peak)
         placements = _assert_matches_reference(table, field_a, field_b)
@@ -417,6 +415,34 @@ class TestPlacement:
             table = make_table([0.5, 0.2, 1e-300, 0.3], [0.1, 0.6, 0.1, 0.2], mu_ab)
             placements = _assert_matches_reference(table, field_a, field_b)
         assert np.isfinite(placements.x).all() and np.isfinite(placements.y).all()
+
+    @pytest.mark.parametrize("fraction", [1e-320, 5e-309, 0.0], ids=repr)
+    def test_fraction_without_a_finite_reciprocal_has_no_level_curve(self, fraction):
+        # mu_a peaks at 1, so exemplar 3's fraction of it is its mu_a; 1 / 1e-320
+        # and 1 / 5e-309 overflow to inf, as 1 / 0 does
+        table = make_table([1.0, 0.2, fraction], [0.1, 0.6, 0.3], [0.3, 0.4, 0.3])
+        field_a = GaussianField((0.0, 0.0), 2.0, 1.0)
+        field_b = GaussianField((5.0, 0.0), 2.0, 0.6)
+        message = rf"^exemplar 3 \(E3\): mu_a = {re.escape(repr(fraction))} has no level curve$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                place_exemplars(table, field_a, field_b)
+
+    @pytest.mark.parametrize("fraction", [1e-300, 6e-309], ids=repr)
+    def test_smallest_fractions_take_their_level_radius_bitwise(self, fraction):
+        # exemplar 3 ties the top of mu_b, so its radius of field B is 0, and
+        # center B lies closer to center A than an ulp of its radius r of field
+        # A: of the fallback's tied points r/2 and -r/2 it takes -r/2
+        table = make_table([1.0, 0.2, fraction], [0.1, 0.6, 0.6], [0.3, 0.4, 0.3])
+        field_a = GaussianField((0.0, 0.0), 2.0, 1.0)
+        field_b = GaussianField((1e-20, 0.0), 2.0, 0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            placements = _assert_matches_reference(table, field_a, field_b)
+        radius = 2.0 * math.sqrt(2.0 * math.log(1.0 / fraction))
+        assert (placements.x[2], placements.y[2]) == (-radius / 2.0, 0.0)
+        assert placements.residual[2] == 0.5 * radius**2
 
     def test_coincident_centers_rejected(self):
         table = make_table([0.5, 0.2, 0.3], [0.2, 0.5, 0.3], [0.35, 0.35, 0.3])
@@ -489,8 +515,8 @@ def test_placements_satisfy_level_curves_or_record_residuals(table):
             assert ratio_b == pytest.approx(table.mu_b[i] / max_b, abs=1e-9)
         else:
             # the recorded residual is the sum of squared radial violations
-            radius_a = float(field_a.level_radius(table.mu_a[i] / max_a))
-            radius_b = float(field_b.level_radius(table.mu_b[i] / max_b))
+            radius_a = _level_radius(field_a, float(table.mu_a[i] / max_a))
+            radius_b = _level_radius(field_b, float(table.mu_b[i] / max_b))
             gap_a = math.hypot(placement.x, placement.y) - radius_a
             gap_b = math.hypot(placement.x - 6.0, placement.y - 3.0) - radius_b
             assert placement.residual == pytest.approx(
@@ -731,6 +757,11 @@ class TestPhaseField:
         with pytest.raises(ValidationError, match=message):
             PhaseField(np.array([[0.0, 0.0], node]), [45.0, 90.0])
 
+    def test_nodes_must_be_pairs(self):
+        with pytest.raises(ValidationError) as excinfo:
+            PhaseField(np.zeros(2), [1.0])
+        assert str(excinfo.value) == "nodes must be (n, 2), got (2,)"
+
     def test_coincident_nodes_read_the_first_node(self):
         # nodes 1 and 3 share (0, 0), nodes 2 and 4 share (1, 0)
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.5, 2.0]])
@@ -947,6 +978,17 @@ class TestRenderGrids:
         assert np.array_equal(
             grids["classical"].values, grids_swapped["classical"].values
         )
+
+    def test_grid_values_must_match_its_size(self):
+        with pytest.raises(ValidationError) as excinfo:
+            wavefield.RasterGrid(3, 2, 0.0, 1.0, 0.0, 1.0, np.zeros((3, 2)))
+        assert str(excinfo.value) == "values shape (3, 2) does not match 2x3"
+
+    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+    def test_cpu_count_without_cpu_affinity(self, monkeypatch, count, usable):
+        monkeypatch.delattr(wavefield.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(wavefield.os, "cpu_count", lambda: count)
+        assert wavefield._usable_cpus() == usable
 
     def test_degenerate_window_rejected(self, reference_fields):
         with pytest.raises(ValidationError, match="window"):
