@@ -34,10 +34,11 @@ DEFAULT_CENTER_B = (10.0, 4.0)
 DEFAULT_RESOLUTION = 400
 DEFAULT_WINDOW_PADDING = 2.0  # multiples of the larger sigma
 
-# PhaseField.evaluate folds its nodes in bands of at most _BAND_PIXELS pixels
-# and tiles of about _TILE_VALUES values (a call at 64 px peaks near 11
-# planes); render_grids takes larger tiles, whose numpy calls (about 0.1 ms)
-# outlast passing the interpreter lock between band threads (about 20 us)
+# PhaseField.evaluate folds its nodes in tiles of about _TILE_VALUES values
+# (a call at 64 px peaks near 11 planes); render_grids, the one place that
+# splits the field's rows, cuts them into bands of at most _BAND_PIXELS
+# pixels and takes larger tiles, whose numpy calls (about 0.1 ms) outlast
+# passing the interpreter lock between its threads (about 20 us)
 _BAND_PIXELS = 2**12
 _TILE_VALUES = 2**15
 _RENDER_TILE_VALUES = 2**17
@@ -119,16 +120,16 @@ class PhaseField:
     rule below), and near it they blend with equal weights.  Exact at every
     other node and clamped to the node extremes, so values never leave
     [min phi_k, max phi_k], and a one-node field is its phase everywhere.
-    Evaluation is Shepard's interpolation folded in node tiles: bands of at
-    most 4096 output pixels along the first axis take the nodes in blocks of
-    ``2**15 // (band + x_band.size + y_band.size)`` (``2**17 // ...`` in
-    ``render_grids``), and each block's weights and weighted phases are
-    added into running weight and phase planes by an outer-axis
-    ``np.add.reduce``, which adds them node after node at every pixel.
-    So memory is O(H*W) for any n, x and y may be a grid's sparse axes,
-    and a pixel's value does not depend on the band or block it falls in (a
-    lone point is evaluated as the first of two equal points, as a
-    reduction over one pixel would add pairwise).  Where the
+    Evaluation is Shepard's interpolation folded in node tiles: the nodes
+    go in blocks of ``2**15 // (size + x.size + y.size)`` over all ``size``
+    output pixels at once (``render_grids`` hands it row bands), and each
+    block's weights and weighted phases are added into running weight and
+    phase planes by an outer-axis ``np.add.reduce``, which adds them node
+    after node at every pixel.  So memory is O(H*W) for any n, x and y may
+    be a grid's sparse axes, and a pixel's value depends neither on the
+    block it falls in nor on the pixels beside it in the call (a lone point
+    is evaluated as the first of two equal points, as a reduction over one
+    pixel would add pairwise).  Where the
     weights fail (their sum is 0 or inf, or the weighted sum is not finite:
     on a node, within about 1e-153 of one, or about 1e154 from all) a point
     takes its nearest node's value by ``np.hypot``, the first node on ties;
@@ -164,8 +165,8 @@ class PhaseField:
         return self._fold(x, y, _TILE_VALUES)
 
     def _fold(self, x, y, tile_values: int) -> np.ndarray:
-        """``evaluate`` in blocks of ``tile_values // (band + x_band.size +
-        y_band.size)`` nodes; the values do not depend on ``tile_values``."""
+        """``evaluate`` in blocks of ``tile_values // (size + x.size +
+        y.size)`` nodes; the values do not depend on ``tile_values``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(x.shape, y.shape)
@@ -175,44 +176,35 @@ class PhaseField:
             # equal points adds node after node, as a pixel of a grid does
             pair = self._fold(np.full(2, x.item()), np.full(2, y.item()), tile_values)
             return pair[:1].reshape(shape)
-        x, y = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (x, y))
         nodes_x, nodes_y, phases = (
             c.reshape(-1, *(1,) * len(shape)) for c in (*self.nodes_xy.T, self.values_deg)
         )
-        rows_total, per_row = shape[0], math.prod(shape[1:])
         # the sums add node after node from -0.0, the identity of IEEE
         # addition, so all -0.0 terms sum to -0.0
         den, num = np.full(shape, -0.0), np.full(shape, -0.0)
-        band_rows = max(1, _BAND_PIXELS // max(per_row, 1))
-        bands = -(-rows_total // band_rows) if size else 0
+        block = max(1, tile_values // max(size + x.size + y.size, 1))
+        # row 0 holds a running sum, the rows after it one block's terms: an
+        # outer-axis reduction adds its rows in order
+        rows = np.empty((min(block, len(phases)) + 1, *shape))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # the bands split the rows evenly, so none is a lone pixel
-            for i in range(bands):
-                band = slice(rows_total * i // bands, rows_total * (i + 1) // bands)
-                x_band, y_band = (a[band] if a.shape[0] > 1 else a for a in (x, y))
-                band_den, band_num = den[band], num[band]
-                block = max(1, tile_values // (band_den.size + x_band.size + y_band.size))
-                # row 0 holds a running sum, the rows after it one block's
-                # terms: an outer-axis reduction adds its rows in order
-                rows = np.empty((min(block, len(phases)) + 1, *band_den.shape))
-                for start in range(0, len(phases), block):
-                    k = slice(start, start + block)
-                    dx = x_band - nodes_x[k]
-                    dx *= dx
-                    dy = y_band - nodes_y[k]
-                    dy *= dy
-                    tile = rows[: len(dx) + 1]
-                    terms = tile[1:]
-                    # dy + dx, which is dx + dy: numpy adds a contiguous
-                    # operand faster than a broadcast one
-                    np.copyto(terms, dy)
-                    terms += dx
-                    np.divide(1.0, terms, out=terms)
-                    tile[0] = band_den
-                    np.add.reduce(tile, axis=0, out=band_den, initial=-0.0)
-                    terms *= phases[k]
-                    tile[0] = band_num
-                    np.add.reduce(tile, axis=0, out=band_num, initial=-0.0)
+            for start in range(0, len(phases), block):
+                k = slice(start, start + block)
+                dx = x - nodes_x[k]
+                dx *= dx
+                dy = y - nodes_y[k]
+                dy *= dy
+                tile = rows[: len(dx) + 1]
+                terms = tile[1:]
+                # dy + dx, which is dx + dy: numpy adds a contiguous operand
+                # faster than a broadcast one
+                np.copyto(terms, dy)
+                terms += dx
+                np.divide(1.0, terms, out=terms)
+                tile[0] = den
+                np.add.reduce(tile, axis=0, out=den, initial=-0.0)
+                terms *= phases[k]
+                tile[0] = num
+                np.add.reduce(tile, axis=0, out=num, initial=-0.0)
             fail = ((den == 0.0) | np.isinf(den) | ~np.isfinite(num)) & ~np.isnan(den)
             num /= den
         if fail.any():
@@ -337,9 +329,9 @@ def place_exemplars(
     squared radial violations is used and the residual records that sum.
     A non-top exemplar whose fraction of a peak has no finite level radius
     (0, or so small that its reciprocal overflows) raises ValidationError;
-    a square (of d, a level radius) past the float range, or the sum
-    r_a^2 - r_b^2 + d^2 that places an exemplar on meeting circles, raises
-    FitError.
+    a level radius past the float range (a huge sigma), a square (of d, a
+    level radius) past it, or the sum r_a^2 - r_b^2 + d^2 that places an
+    exemplar on meeting circles, raises FitError.
     """
     (ax, ay), (bx, by) = (map(float, field.center) for field in (field_a, field_b))
     d = math.hypot(bx - ax, by - ay)
@@ -367,6 +359,11 @@ def place_exemplars(
         field.sigma * np.sqrt(2.0 * np.array([*map(math.log, inverse.tolist())]))
         for field, inverse in zip((field_a, field_b), inverses)
     )
+    if not (finite := np.isfinite([radius_a, radius_b])).all():
+        k = int(finite.all(axis=0).argmin())
+        field = "B" if finite[0, k] else "A"
+        raise FitError(f"exemplar {k + 1} ({table.names[k]}): level radius of field "
+                       f"{field} is not finite")
 
     # circles that meet: the chord's foot lies ``along`` the center line,
     # the chosen point ``lateral`` to its left (even index) or right (odd);
@@ -401,12 +398,9 @@ def place_exemplars(
         np.full(ra.size, d),
     ])
     violation = _squares(np.abs(t) - ra) + _squares(np.abs(d - t) - rb)
-    # as Python's min(key=(violation, t)): ties go to the smallest t, and a
-    # NaN violation never wins, nor loses when it comes first
-    best_v = np.fmin.reduce(violation)
+    # as Python's min(key=(violation, t)): ties go to the smallest t
+    best_v = violation.min(axis=0)
     best_t = np.where(violation == best_v, t, np.inf).min(axis=0)
-    first = np.isnan(violation[0])
-    best_t[first], best_v[first] = t[0, first], violation[0, first]
     x[miss], y[miss], residual[miss] = ax + best_t * ux, ay + best_t * uy, best_v
 
     x[top_b], y[top_b] = bx, by
@@ -455,10 +449,11 @@ def render_grids(
     degrees the interference grid equals the classical grid bit-for-bit.
     The window's bounds and its width and height must be finite.
 
-    The phase field is folded in tiles of 2**17 values (``evaluate``
-    takes 2**15), its rows split into min(usable CPUs, n*H*W // 2**20, H)
-    bands, each evaluated in its own thread with the caller running one.
-    The field's values depend on neither, so no output byte does.
+    The phase field's rows are split here and nowhere else: into bands of
+    max(1, min(4096 // W, H // threads)) rows, threads = max(1, min(usable
+    CPUs, n*H*W // 2**20, H)), thread s folding bands s, s + threads, ...
+    in tiles of 2**17 values and the caller running thread 0.  No output
+    byte depends on the split.
     """
     x_min, x_max, y_min, y_max = (float(v) for v in window)
     if not (x_min < x_max and y_min < y_max):
@@ -474,26 +469,28 @@ def render_grids(
     grid_x, grid_y = np.meshgrid(xs, ys, sparse=True)
 
     # numpy lets go of the interpreter lock inside a band's larger calls, so
-    # bands run at once; a band of fewer than 2**20 node-pixel pairs loses
+    # threads run at once; a share of fewer than 2**20 node-pixel pairs loses
     # more to handing the lock back and forth than it gains
     pairs = phase.values_deg.size * width * height
-    bands = min(_usable_cpus(), pairs // 2**20, height)
-    if bands < 2:
-        phi = phase._fold(grid_x, grid_y, _RENDER_TILE_VALUES)
+    threads = max(1, min(_usable_cpus(), pairs // 2**20, height))
+    band_rows = max(1, min(_BAND_PIXELS // width, height // threads))
+    bands = [slice(row, row + band_rows) for row in range(0, height, band_rows)]
+    phi = np.empty((height, width))
+
+    def fold(share):
+        for band in bands[share::threads]:
+            phi[band] = phase._fold(grid_x, grid_y[band], _RENDER_TILE_VALUES)
+
+    if threads == 1:
+        fold(0)
     else:
         # imported here: its 5 ms import would slow every command's start
         from concurrent.futures import ThreadPoolExecutor
 
-        phi = np.empty((height, width))
-
-        def fill(i):
-            rows = slice(height * i // bands, height * (i + 1) // bands)
-            phi[rows] = phase._fold(grid_x, grid_y[rows], _RENDER_TILE_VALUES)
-
-        with ThreadPoolExecutor(bands - 1) as pool:
-            done = pool.map(fill, range(1, bands))
-            fill(0)
-            list(done)  # raises the first exception of another band
+        with ThreadPoolExecutor(threads - 1) as pool:
+            done = pool.map(fold, range(1, threads))
+            fold(0)
+            list(done)  # raises the first exception of another thread
     # the phase first, so that its bands' tiles and the four planes below
     # are not held at once
     intensity_a, intensity_b = (f.intensity(grid_x, grid_y) for f in (field_a, field_b))

@@ -865,7 +865,8 @@ class TestRenderCommand:
         self, dataset_path, tmp_path, capsys, monkeypatch
     ):
         # 24 exemplars on 300 x 300 pixels are 2.16e6 node-pixel pairs: two
-        # bands when two CPUs are usable, the second in a worker thread
+        # threads when two CPUs are usable, the second folding every other
+        # band of 13 rows in a worker thread
         monkeypatch.setattr(wavefield, "_usable_cpus", lambda: 2)
         fold = PhaseField._fold
 

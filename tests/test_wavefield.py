@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import threading
@@ -27,7 +28,7 @@ from concept_interference import (
 from concept_interference import parse_table, wavefield
 from concept_interference.wavefield import cos_deg
 
-from conftest import feasible_tables, make_table
+from conftest import feasible_tables, make_table, solve_feasible
 from reference_values import SIGMA_A, SIGMA_B
 
 
@@ -466,6 +467,24 @@ class TestPlacement:
         with pytest.raises(FitError, match=message):
             place_exemplars(table, field_a, field_b)
 
+    def test_level_radius_past_the_float_range_names_the_exemplar(self, reference_table):
+        # sigma * sqrt(2 log(1 / fraction)) is inf once the root passes about
+        # 1.06 at sigma 1.7e308: C's fraction 0.5 of both peaks gives 1.18,
+        # where a NaN placement with residual 0 came out before
+        table = make_table([0.6, 0.1, 0.3], [0.1, 0.6, 0.3], [0.35, 0.35, 0.3],
+                           names=["A", "B", "C"])
+        fields = GaussianField((0, 0), 1.7e308, 0.6), GaussianField((10, 4), 1.7e308, 0.6)
+        message = r"^exemplar 3 \(C\): level radius of field A is not finite$"
+        with pytest.raises(FitError, match=message):
+            place_exemplars(table, *fields)
+        # on the bundled table at sigma 1e308, Almond's radius of field A is
+        # finite and its radius of field B is not
+        fields = [GaussianField(f.center, 1e308, f.peak)
+                  for f in fit_gaussian_fields(reference_table)]
+        message = r"^exemplar 1 \(Almond\): level radius of field B is not finite$"
+        with pytest.raises(FitError, match=message):
+            place_exemplars(reference_table, *fields)
+
     def test_overflowing_level_circle_sum_names_the_exemplar(self, reference_table):
         # both squared radii and d^2 are finite, but r_a^2 - r_b^2 + d^2 is not;
         # Watercress's circles meet, so its place along the center line would be inf
@@ -569,19 +588,18 @@ def _reference_pixelwise(field, x, y):
 
 def _tile_input(rng, kind, small):
     """Points ``x, y`` of one kind and the nodes per block that
-    ``PhaseField.evaluate`` takes on them: 2**15 // (band + x_band.size +
-    y_band.size), with bands of at most 4096 pixels.  The large grids (72
-    rows of 64) and point sets (4097) span two bands; ``small`` ones one."""
+    ``PhaseField.evaluate`` takes on them: 2**15 // (size + x.size +
+    y.size), for ``size`` output pixels in one call.  The large grids (72
+    rows of 64) and point sets (4097) hold more than 4096 pixels, which
+    ``render_grids`` would cut into bands and ``evaluate`` folds whole."""
     rows, columns, points = (20, 24, 500) if small else (72, 64, 4097)
     xs, ys = rng.uniform(-1.2, 1.2, columns), rng.uniform(-1.2, 1.2, rows)
     px, py = rng.uniform(-1.2, 1.2, (2, points))
-    band = rows // 2 if not small else rows  # rows per band
-    point_band = -(-points // 2) if not small else points
     return {
         "sparse axes": (*np.meshgrid(xs, ys, sparse=True),
-                        2**15 // (band * columns + columns + band)),
-        "full grid": (*np.meshgrid(xs, ys), 2**15 // (3 * band * columns)),
-        "1-D points": (px, py, 2**15 // (3 * point_band)),
+                        2**15 // (rows * columns + columns + rows)),
+        "full grid": (*np.meshgrid(xs, ys), 2**15 // (3 * rows * columns)),
+        "1-D points": (px, py, 2**15 // (3 * points)),
         # evaluated as the first of two equal points
         "lone point": (px[0], py[0], 2**15 // (3 * 2)),
     }[kind]
@@ -722,6 +740,11 @@ class TestPhaseField:
             assert got.tobytes() == want.tobytes()
         assert np.signbit(_one_node(-0.0).evaluate(x, y)).all()
 
+    def test_empty_input_gives_an_empty_field(self):
+        field = PhaseField(np.array([[0.0, 0.0], [1.0, 1.0]]), [10.0, 20.0])
+        for x, y in ((np.empty(0), np.empty(0)), (np.empty((0, 1)), np.ones((1, 5)))):
+            assert field.evaluate(x, y).shape == np.broadcast_shapes(x.shape, y.shape)
+
     def test_row_slices_stack_to_one_call(self):
         rng = np.random.default_rng(13)
         grid_x, grid_y, _ = _tile_input(rng, "sparse axes", small=False)
@@ -841,20 +864,24 @@ class TestRenderGrids:
         self, reference_table, reference_fields, reference_placements, monkeypatch
     ):
         # 24 nodes on 400 x 400 pixels are 3.84e6 node-pixel pairs: three
-        # bands, each in its own thread, when three CPUs are usable
+        # threads when three CPUs are usable, folding 40 bands of 4096 // 400
+        # = 10 rows in turn, so the caller takes 14 bands and each worker 13
         monkeypatch.setattr(wavefield, "_usable_cpus", lambda: 3)
         callers = []
         fold = PhaseField._fold
 
         def fold_in_thread(field, x, y, tile_values):
-            callers.append(threading.get_ident())
+            callers.append((threading.get_ident(), len(y)))
             return fold(field, x, y, tile_values)
 
         monkeypatch.setattr(PhaseField, "_fold", fold_in_thread)
         phase = interpolate_phase(reference_placements, solve(reference_table).phi_deg)
         window = default_window(reference_placements, *reference_fields)
         grids = render_grids(*reference_fields, phase, window, (400, 400))
-        assert len(callers) == 3 and callers.count(threading.get_ident()) == 1
+        assert [rows for _, rows in callers] == [10] * 40
+        shares = collections.Counter(caller for caller, _ in callers)
+        assert shares.pop(threading.get_ident()) == 14
+        assert sorted(shares.values()) == [13, 13]
         x_min, x_max, y_min, y_max = window
         xs = x_min + (np.arange(400) + 0.5) * ((x_max - x_min) / 400)
         ys = y_max - (np.arange(400) + 0.5) * ((y_max - y_min) / 400)
@@ -864,6 +891,35 @@ class TestRenderGrids:
         modulation = np.sqrt(intensity_a * intensity_b)
         want = classical + modulation * cos_deg(phase.evaluate(grid_x, grid_y))
         assert grids["interference"].values.tobytes() == want.tobytes()
+
+    @given(feasible_tables(min_n=60, max_n=60))
+    @settings(max_examples=3, deadline=None)
+    def test_bytes_do_not_depend_on_the_threads(self, table):
+        # 60 nodes on 300 x 300 pixels are 5.4e6 node-pixel pairs, in bands
+        # of 4096 // 300 = 13 rows: 23 of them and one of 1 row, for any
+        # count of threads up to 5
+        try:
+            fields = fit_gaussian_fields(table)
+        except FitError:
+            assume(False)  # shared top exemplar; the fit contract excludes it
+        placements = place_exemplars(table, *fields)
+        phase = interpolate_phase(placements, solve_feasible(table).phi_deg)
+        window = default_window(placements, *fields)
+        fold, renders = PhaseField._fold, {}
+        for cpus in (1, 2, 3, 4):
+            bands = []
+
+            def fold_band(field, x, y, tile_values):
+                bands.append(len(y))
+                return fold(field, x, y, tile_values)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(wavefield, "_usable_cpus", lambda: cpus)
+                patch.setattr(PhaseField, "_fold", fold_band)
+                grids = render_grids(*fields, phase, window, (300, 300))
+            assert sorted(bands) == [1] + [13] * 23
+            renders[cpus] = {name: grid.values.tobytes() for name, grid in grids.items()}
+        assert renders[1] == renders[2] == renders[3] == renders[4]
 
     def test_peak_memory_below_ten_planes(
         self, reference_table, reference_fields, reference_placements
