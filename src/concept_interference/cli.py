@@ -390,9 +390,7 @@ def _run_verify(args) -> int:
         values = operator.itemgetter(*_RESIDUAL_THRESHOLD_KEYS)(data["residuals"])
         _json_numbers(values, "residuals")
         stored = dict(zip(_RESIDUAL_THRESHOLD_KEYS, map(float, values)))
-        if type(m := data["m"]) is not int:
-            raise TypeError(f"m = {m!r} is not a JSON integer")
-        layout = ProjectorLayout(table.n, m)
+        layout = ProjectorLayout(table.n, data["m"])
         recomputed = measure_residuals(vector_a, vector_b, table, layout)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return _fail(f"malformed report: {exc!r}")

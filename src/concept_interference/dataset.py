@@ -101,25 +101,20 @@ class TypicalityTable:
 
         # Report the first row with a problem, checking its index, name and
         # values in that order; then contiguity and duplicates, by row.
-        contiguous = indices == tuple(range(1, n + 1))
         outside = ~((columns >= 0.0) & (columns <= 1.0))  # NaN is outside too
-        name_problems = [_text_problem("exemplar name", s) for s in names]
-        bad_names = np.array([p is not None for p in name_problems], bool)
-        faulty = outside.any(axis=0) | bad_names
-        if not contiguous:
-            faulty |= np.array([i < 1 for i in indices], bool)
-        if faulty.any():
-            k = int(np.argmax(faulty))
-            f = int(np.argmax(outside[:, k]))
-            if indices[k] < 1:
-                problem = f"exemplar index must be >= 1, got {indices[k]}"
-            else:
-                problem = name_problems[k] or (
-                    f"exemplar {indices[k]} ({names[k]}): {_COLUMN_FIELDS[f]}="
-                    f"{columns[f, k].item()!r} is not a probability in [0, 1]"
+        out_of_range = outside.any(axis=0).tolist()
+        for k, index, name, out in zip(range(n), indices, names, out_of_range):
+            if index < 1:
+                raise ValidationError(f"exemplar index must be >= 1, got {index}", k + 1)
+            if problem := _text_problem("exemplar name", name):
+                raise ValidationError(problem, k + 1)
+            if out:
+                f = int(np.argmax(outside[:, k]))
+                raise ValidationError(
+                    f"exemplar {index} ({name}): {_COLUMN_FIELDS[f]}="
+                    f"{columns[f, k].item()!r} is not a probability in [0, 1]", k + 1
                 )
-            raise ValidationError(problem, k + 1)
-        if not contiguous or len(set(names)) != n:
+        if indices != tuple(range(1, n + 1)) or len(set(names)) != n:
             seen: set[str] = set()
             for k, name in enumerate(names):
                 if indices[k] != k + 1:

@@ -472,6 +472,18 @@ class TestVerifyCommand:
                 _edited(lambda report: report["dataset"].update(notes="abc")),
                 ": ValidationError(\"notes must be a list of texts, got 'abc'\")",
             ),
+            (
+                _edited(lambda report: report.update(m=True)),
+                ": ValidationError('m must be an integer in 1..24, got True')",
+            ),
+            (
+                _edited(lambda report: report.update(m=0)),
+                ": ValidationError('m must be an integer in 1..24, got 0')",
+            ),
+            (
+                _edited(lambda report: report.update(m=len(report["exemplars"]) + 1)),
+                ": ValidationError('m must be an integer in 1..24, got 25')",
+            ),
         ],
         ids=[
             "missing-residual",
@@ -482,6 +494,9 @@ class TestVerifyCommand:
             "top-level-list",
             "top-level-string",
             "notes-as-text",
+            "bool-m",
+            "m-0",
+            "m-past-n",
         ],
     )
     def test_verify_malformed_report_exits_1(

@@ -305,6 +305,40 @@ class TestTableInvariants:
         assert str(excinfo.value) == message
         assert excinfo.value.position == 1
 
+    @pytest.mark.parametrize(
+        "rows, message, position",
+        [
+            (
+                [(1, "A", 0.5, 0.5, 0.5), (0, " B", 0.5, 0.5, 0.5)],
+                "exemplar index must be >= 1, got 0",
+                2,
+            ),
+            (
+                [(1, "A", 0.5, 0.5, 0.5), (2, "#B", 2.0, 0.5, 0.5)],
+                "exemplar name '#B' starts with the comment marker '#'",
+                2,
+            ),
+            (
+                [
+                    (1, "A", 0.5, 0.5, 0.5),
+                    (2, "A", 0.5, 0.5, 0.5),
+                    (3, "C", 0.5, 0.5, 0.5),
+                    (4, "D", 0.5, 0.5, -0.1),
+                ],
+                "exemplar 4 (D): mu_ab=-0.1 is not a probability in [0, 1]",
+                4,
+            ),
+        ],
+        ids=["index-before-name", "name-before-value", "value-before-duplicate"],
+    )
+    def test_row_checks_run_in_order(self, rows, message, position):
+        # within a row: index, name, values; any row problem before the
+        # table-wide contiguity and duplicate checks
+        with pytest.raises(ValidationError) as excinfo:
+            TypicalityTable(rows)
+        assert str(excinfo.value) == message
+        assert excinfo.value.position == position
+
     def test_equal_tables_hash_equal(self, raw_table):
         copy = parse_table(_render_csv(raw_table))
         assert copy is not raw_table and copy == raw_table
