@@ -2,11 +2,11 @@
 
 Each concept becomes an isotropic 2D Gaussian intensity field; exemplars
 are placed where the two fields simultaneously equal their two measured
-probabilities (level-curve intersections); the per-exemplar phases are
-spread over the plane by inverse-distance-squared interpolation (the
-nearest node's phase where those weights fail); and four rasters are
-rendered per request: the two single-concept fields, their classical
-average, and the interference pattern
+probabilities (level-curve intersections); the per-exemplar phase
+magnitudes |phi_k| are spread over the plane by inverse-distance-squared
+interpolation (the nearest node's phase where those weights fail); and four
+rasters are rendered per request: the two single-concept fields, their
+classical average, and the interference pattern
 
     I(x, y) = (G_A + G_B)/2 + sqrt(G_A * G_B) * cos(phi(x, y))
 
@@ -409,8 +409,16 @@ def place_exemplars(
 
 
 def interpolate_phase(placements: PlacementMap, phi_deg) -> PhaseField:
-    """Phase field through the exemplar locations with their phi values."""
-    return PhaseField(np.column_stack((placements.x, placements.y)), phi_deg)
+    """Phase field through the exemplar locations with their |phi| values.
+
+    mu_ab_k depends on cos phi_k only, and the sign of phi_k is the greedy
+    sign pass's choice, so the field spreads |phi_k| in [0, 180] degrees,
+    where the cosine is monotone: the landscape's cosine stays within
+    [min cos phi_k, max cos phi_k] and no byte depends on the signs.  At
+    row m, mu_ab_m also carries c_m, so an exactly placed m misses mu_ab_m
+    by (1 - c_m) * sqrt(mu_a_m * mu_b_m) * |cos phi_m|.
+    """
+    return PhaseField(np.column_stack((placements.x, placements.y)), np.abs(phi_deg))
 
 
 def default_window(

@@ -29,10 +29,13 @@ RENDER_FILES = {
     "b_only.pgm": "a266adad0838351f9291789a7d6c488b38709417de0f21b7cf4c8b6e90d21849",
     "classical.csv": "f6a8981bd60535f02808b8dd351ef8039011f252ee9a768bf18649c3ae1974d0",
     "classical.pgm": "b58f6c79f9beb5c249586c1944801b8e15d5aadb1d14aa9486d0be09340650fc",
-    # re-recorded with the atan2 phases: 1,086 of 160,000 pixels moved by at
-    # most 4.9e-17; interference.pgm quantizes them away
-    "interference.csv": "257659ab2c7aad90383c35529f7ec3672cbfd0c136b5badc0fb37b59333b6d22",
-    "interference.pgm": "ae02936818400b679fef181b962ff114fe079e01ae5b446705ffdcc9a685084a",
+    # re-recorded when the phase field began to spread |phi_k| instead of the
+    # signed phi_k (was 257659ab... and ae029368...): mu_ab_k depends on cos
+    # phi_k only, so the landscape no longer shows the greedy pass's signs;
+    # at 200 px the pixels whose cosine leaves [min cos phi_k, max cos phi_k]
+    # went from 62.8% to 0.0%
+    "interference.csv": "511df6f2b16085a4d2b5e91a0340e9f8d73f228ba629f056767170979ed130e9",
+    "interference.pgm": "b8741095dbc5e63c70155fcd44bcc6e5f97447bf42ab63c693703877ede71a67",
     "placements.csv": "8916baac2a99130cf1c7e5a9b60272bf3c48bad3960543fc7a74cb09d71b4ddb",
 }
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concept_interference import (
@@ -45,6 +45,12 @@ def reference_fields(reference_table):
 @pytest.fixture(scope="module")
 def reference_placements(reference_table, reference_fields):
     return place_exemplars(reference_table, *reference_fields)
+
+
+@pytest.fixture(scope="module")
+def reference_phi(reference_table):
+    # a plain array: hypothesis cannot print a TypicalityTable argument
+    return solve(reference_table).phi_deg
 
 
 @pytest.fixture(scope="module")
@@ -622,7 +628,21 @@ class TestPhaseField:
         for placement, expected in zip(
             reference_placements.placements, solution.phi_deg
         ):
-            assert phase.evaluate(placement.x, placement.y) == expected
+            assert phase.evaluate(placement.x, placement.y) == abs(expected)
+
+    def test_field_between_two_weakening_exemplars_stays_weakening(
+        self, reference_table, reference_placements
+    ):
+        # Tomato (98.51 degrees) and Pumpkin (-103.49) both weaken mu_ab;
+        # the signed phases would sweep through 0 (-2.32 at the midpoint)
+        solution = solve(reference_table)
+        phase = interpolate_phase(reference_placements, solution.phi_deg)
+        k, j = (reference_table.names.index(name) for name in ("Tomato", "Pumpkin"))
+        assert solution.phi_deg[k] > 90.0 and solution.phi_deg[j] < -90.0
+        x, y = reference_placements.x, reference_placements.y
+        midpoint = float(phase.evaluate((x[k] + x[j]) / 2, (y[k] + y[j]) / 2))
+        assert 98.51 < midpoint < 103.49
+        assert midpoint == pytest.approx(100.84, abs=0.01)
 
     def test_two_node_midpoint_balances(self):
         from concept_interference import PhaseField
@@ -834,6 +854,28 @@ class TestRenderGrids:
             f"them by {pad!r} leaves an empty window at float precision, so "
             "pass --window"
         )
+
+    @settings(max_examples=10, deadline=None)
+    @given(flips=st.lists(st.booleans(), min_size=24, max_size=24))
+    @example(flips=[True] + [False] * 23)
+    def test_phase_signs_leave_every_byte_unchanged(
+        self, reference_phi, reference_fields, reference_placements, flips
+    ):
+        # mu_ab_k depends on cos phi_k only, so the signs the greedy pass
+        # chose do not show in the landscape
+        phi = reference_phi
+        window = default_window(reference_placements, *reference_fields)
+        grids = [
+            render_grids(
+                *reference_fields,
+                interpolate_phase(reference_placements, phases),
+                window,
+                (48, 40),
+            )
+            for phases in (phi, np.where(flips, -phi, phi))
+        ]
+        for name, grid in grids[0].items():
+            assert grid.values.tobytes() == grids[1][name].values.tobytes()
 
     def test_constant_right_angle_equals_classical_bitwise(
         self, reference_fields, reference_placements
