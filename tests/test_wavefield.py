@@ -631,14 +631,13 @@ class TestPhaseField:
             assert phase.evaluate(placement.x, placement.y) == abs(expected)
 
     def test_field_between_two_weakening_exemplars_stays_weakening(
-        self, reference_table, reference_placements
+        self, reference_table, reference_phi, reference_placements
     ):
         # Tomato (98.51 degrees) and Pumpkin (-103.49) both weaken mu_ab;
         # the signed phases would sweep through 0 (-2.32 at the midpoint)
-        solution = solve(reference_table)
-        phase = interpolate_phase(reference_placements, solution.phi_deg)
+        phase = interpolate_phase(reference_placements, reference_phi)
         k, j = (reference_table.names.index(name) for name in ("Tomato", "Pumpkin"))
-        assert solution.phi_deg[k] > 90.0 and solution.phi_deg[j] < -90.0
+        assert reference_phi[k] > 90.0 and reference_phi[j] < -90.0
         x, y = reference_placements.x, reference_placements.y
         midpoint = float(phase.evaluate((x[k] + x[j]) / 2, (y[k] + y[j]) / 2))
         assert 98.51 < midpoint < 103.49
@@ -863,7 +862,6 @@ class TestRenderGrids:
     ):
         # mu_ab_k depends on cos phi_k only, so the signs the greedy pass
         # chose do not show in the landscape
-        phi = reference_phi
         window = default_window(reference_placements, *reference_fields)
         grids = [
             render_grids(
@@ -872,7 +870,7 @@ class TestRenderGrids:
                 window,
                 (48, 40),
             )
-            for phases in (phi, np.where(flips, -phi, phi))
+            for phases in (reference_phi, np.where(flips, -reference_phi, reference_phi))
         ]
         for name, grid in grids[0].items():
             assert grid.values.tobytes() == grids[1][name].values.tobytes()
