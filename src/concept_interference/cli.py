@@ -290,9 +290,7 @@ def _run_render(args) -> int:
     _, table, solution, error = _load_and_solve(args)
     if error is not None:
         return _infeasible(error)
-    centers = (*DEFAULT_CENTER_A, *DEFAULT_CENTER_B)
-    if args.centers is not None:
-        centers = _parse_floats(args.centers, 4, "--centers")
+    centers = _parse_floats(args.centers, 4, "--centers")
     field_a, field_b = fit_gaussian_fields(table, centers[:2], centers[2:])
     placements = place_exemplars(table, field_a, field_b)
     if args.phase_constant is not None:
@@ -453,11 +451,9 @@ def _build_parser() -> _Parser:
     )
     render_p.add_argument(
         "--centers",
-        default=None,
+        default=",".join(map(str, DEFAULT_CENTER_A + DEFAULT_CENTER_B)),
         metavar="X1,Y1,X2,Y2",
-        help=f"field centers (default "
-        f"{DEFAULT_CENTER_A[0]},{DEFAULT_CENTER_A[1]},"
-        f"{DEFAULT_CENTER_B[0]},{DEFAULT_CENTER_B[1]})",
+        help="field centers (default %(default)s)",
     )
     render_p.add_argument(
         "--resolution",

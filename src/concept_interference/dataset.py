@@ -79,7 +79,7 @@ class TypicalityTable:
     mu_ab)`` rows such as ``ExemplarRecord``, and keeps only ``names`` and
     the read-only float64 columns ``mu_a``, ``mu_b`` and ``mu_ab``.  Each
     row is checked here, once: indices run 1, 2, ..., names are unique text
-    and values are probabilities in [0, 1].
+    and values are probabilities in [0, 1].  A table equals only itself.
     """
 
     records: InitVar[Iterable[tuple[int, str, float, float, float]]]
@@ -136,18 +136,6 @@ class TypicalityTable:
         for field, value in zip(("names", *_COLUMN_FIELDS), (names, *columns)):
             object.__setattr__(self, field, value)
 
-    def _key(self) -> tuple:
-        """Names, column values, labels and notes: what equality compares."""
-        columns = (tuple(getattr(self, field).tolist()) for field in _COLUMN_FIELDS)
-        labels = (getattr(self, key) for key in _LABEL_KEYS)
-        return (self.names, *columns, *labels, self.notes)
-
-    def __eq__(self, other):
-        return isinstance(other, TypicalityTable) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def n(self) -> int:
         return len(self.names)
@@ -198,7 +186,7 @@ def parse_table(text: str) -> TypicalityTable:
     """
     lines = text.removeprefix("\ufeff").splitlines()
 
-    labels = {"label_a": "A", "label_b": "B", "combination_label": "A or B"}
+    labels: dict[str, str] = {}
     notes: list[str] = []
     data: list[str] = []  # the header, then one line per row
     numbers: list[int] = []
@@ -208,7 +196,7 @@ def parse_table(text: str) -> TypicalityTable:
             continue
         if stripped.startswith("#"):
             key, sep, value = (part.strip() for part in stripped[1:].partition(":"))
-            if sep and key in labels:
+            if sep and key in _LABEL_KEYS:
                 labels[key] = value
             elif sep and key == "note":
                 notes.append(value)

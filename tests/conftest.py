@@ -67,6 +67,14 @@ def reference_phase(table, k, lambda_k, c_k):
     return (-angle if lambda_k < 0.0 else angle), cosine
 
 
+def table_key(table: TypicalityTable) -> tuple:
+    """Names, column values, labels and notes: the data two tables hold.
+    The tables themselves compare by identity."""
+    columns = (tuple(column.tolist()) for column in (table.mu_a, table.mu_b, table.mu_ab))
+    labels = (table.label_a, table.label_b, table.combination_label)
+    return (table.names, *columns, *labels, table.notes)
+
+
 def make_table(mu_a, mu_b, mu_ab, names=None, **kwargs) -> TypicalityTable:
     names = names or [f"E{i + 1}" for i in range(len(mu_a))]
     records = tuple(
@@ -115,7 +123,10 @@ def _normalized(values):
 
 
 @st.composite
-def feasible_tables(draw, min_n=2, max_n=9):
+def feasible_columns(draw, min_n=2, max_n=9, top_weight=None):
+    """The columns mu_a, mu_b and mu_ab of a feasible table, as lists.  With
+    ``top_weight`` (above every drawn weight), two distinct rows take it as
+    the tops of mu_a and mu_b, and no edge case below is drawn."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     weights_a = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
     weights_b = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
@@ -129,9 +140,12 @@ def feasible_tables(draw, min_n=2, max_n=9):
     # About 1 draw in 3 each: two rows at the same angle whose geometric
     # means differ by about 1e-15 relative (near-tied magnitudes), or one
     # marginal scaled to between 1e-13 and 1e-11.
-    edge = draw(st.sampled_from((None, "near-tie", "tiny-marginal")))
+    edges = (None, "near-tie", "tiny-marginal")
+    edge = None if top_weight else draw(st.sampled_from(edges))
     row, other = draw(st.permutations(range(n)))[:2]
-    if edge == "near-tie":
+    if top_weight:
+        weights_a[row] = weights_b[other] = top_weight
+    elif edge == "near-tie":
         weights_a[other] = weights_a[row] * (1.0 + 2e-15)
         weights_b[other] = weights_b[row]
         angles[other] = angles[row]
@@ -169,8 +183,14 @@ def feasible_tables(draw, min_n=2, max_n=9):
             mu_a, mu_b, geometric, deviations, boundary_row, boundary
         ) or deviations
     mu_ab = [0.5 * (a + b) + d for a, b, d in zip(mu_a, mu_b, deviations)]
-    table = make_table(mu_a, mu_b, mu_ab)
-    return validate_and_normalize(table)
+    return mu_a, mu_b, mu_ab
+
+
+def feasible_tables(min_n=2, max_n=9):
+    """Normalized tables of ``feasible_columns``.  Hypothesis cannot print a
+    table, so a test that may fail draws the columns instead."""
+    columns = feasible_columns(min_n, max_n)
+    return columns.map(lambda c: validate_and_normalize(make_table(*c)))
 
 
 def place_on_boundary(mu_a, mu_b, geometric, deviations, row, cos_phi):

@@ -685,6 +685,26 @@ class TestRenderCommand:
         header = (out_dir / "a_only.csv").read_text().splitlines()[0]
         assert header == "-10.0,18.0,-12.0,12.0,32,32"
 
+    def test_default_centers_are_the_library_centers(self, dataset_path, tmp_path):
+        # the default of --centers is parsed like any given value
+        base = ["render", str(dataset_path), "--resolution", "16", "-o"]
+        assert main([*base, str(tmp_path / "default")]) == 0
+        assert main([*base, str(tmp_path / "given"), "--centers=0,0,10,4"]) == 0
+        files = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert len(files) == 9
+        for name in files:
+            assert (tmp_path / "default" / name).read_bytes() == (
+                tmp_path / "given" / name
+            ).read_bytes()
+
+    def test_help_states_the_default_centers(self):
+        sub = next(
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        help_text = " ".join(sub.choices["render"].format_help().split())
+        assert "field centers (default 0.0,0.0,10.0,4.0)" in help_text
+
     def test_marginal_without_level_curve_exits_1(self, tmp_path, capsys):
         # 1 / (1e-320 / 0.7) overflows, so exemplar C has no place to render
         path = tmp_path / "tiny.csv"

@@ -18,14 +18,15 @@ from concept_interference import (
     validate_and_normalize,
 )
 
-from conftest import make_table
+from conftest import make_table, table_key
 from reference_parser import reference_parse_table
 from reference_values import RAW_COLUMN_SUMS, RAW_ROWS
 
 
 def _render_csv(table):
     """CSV text of a table at full float precision, labels and notes as
-    comments; ``parse_table`` reads it back to an equal table."""
+    comments; ``parse_table`` reads it back to a table of the same
+    ``table_key``."""
     buffer = io.StringIO()
     for key in ("label_a", "label_b", "combination_label"):
         buffer.write(f"# {key}: {getattr(table, key)}\n")
@@ -119,7 +120,7 @@ class TestParse:
         table = parse_table(text)
         assert table.names == ("Apple", "Pear")
         assert table.mu_ab.tolist() == [0.3, 0.6]
-        assert table == reference_parse_table(text)
+        assert table_key(table) == table_key(reference_parse_table(text))
 
     @pytest.mark.parametrize(
         "rows, line, message",
@@ -153,7 +154,7 @@ class TestParse:
         outcome = _parse_outcome(parse_table, text)
         assert outcome == _parse_outcome(reference_parse_table, text)
         if "\0" not in line or sys.version_info >= (3, 11):  # csv reads NUL from 3.11
-            assert outcome.names == (name, "Pear")
+            assert outcome[0] == (name, "Pear")
 
     def test_name_over_the_field_limit_fails_at_its_line(self):
         text = "exemplar,mu_a,mu_b,mu_ab\nPear,0.5,0.75,0.75\n" + "x" * 131_073
@@ -223,7 +224,7 @@ class TestParse:
 
     def test_name_with_comma_quoted(self):
         table = make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], names=["a, b", "c"])
-        assert parse_table(_render_csv(table)) == table
+        assert table_key(parse_table(_render_csv(table))) == table_key(table)
 
 
 class TestValidateNormalize:
@@ -340,10 +341,12 @@ class TestTableInvariants:
         assert excinfo.value.position == position
 
     def test_equal_tables_hash_equal(self, raw_table):
+        # a table equals only itself, as a PlacementMap does; a parsed copy
+        # holds the same data but is another table
         copy = parse_table(_render_csv(raw_table))
-        assert copy is not raw_table and copy == raw_table
-        assert hash(copy) == hash(raw_table)
-        assert len({copy, raw_table}) == 1
+        assert copy != raw_table and raw_table == raw_table
+        assert len({copy, raw_table}) == 2
+        assert table_key(copy) == table_key(raw_table)
 
     def test_bare_text_notes_rejected(self):
         # a str is iterable, but its characters are not its notes
@@ -360,7 +363,7 @@ class TestTableInvariants:
             assert column.dtype == np.float64
             assert column.tolist() == [getattr(r, field) for r in records]
         # plain tuples build the same table, and the rows are not kept
-        assert TypicalityTable(records=RAW_ROWS) == table
+        assert table_key(TypicalityTable(records=RAW_ROWS)) == table_key(table)
         assert not hasattr(table, "records")
 
     def test_columns_are_read_only(self, raw_table):
@@ -397,7 +400,7 @@ def small_tables(draw):
 @given(small_tables())
 @settings(max_examples=120)
 def test_csv_round_trip(table):
-    assert parse_table(_render_csv(table)) == table
+    assert table_key(parse_table(_render_csv(table))) == table_key(table)
 
 
 # quotes, separators, the comment and label markers, numbers, letters,
@@ -434,10 +437,10 @@ def csv_texts(draw):
 
 
 def _parse_outcome(parse, text):
-    """The table ``parse`` reads from ``text``, or its exception's type,
-    message and line number."""
+    """The ``table_key`` of the table ``parse`` reads from ``text``, or its
+    exception's type, message and line number."""
     try:
-        return parse(text)
+        return table_key(parse(text))
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line_number", None)
 
@@ -500,4 +503,4 @@ def test_scale_invariance_power_of_two_exact():
         [v * 0.5 for v in mu_a], [v * 0.5 for v in mu_b], [v * 0.5 for v in mu_ab]
     )
     rescaled = validate_and_normalize(halved, tolerance=0.6)
-    assert rescaled == reference
+    assert table_key(rescaled) == table_key(reference)

@@ -449,7 +449,7 @@ class TestClassification:
         mu_ab = [0.08500000005, 0.5075]
         mu_ab.append(1 - mu_ab[0] - mu_ab[1])
         table = make_table(mu_a, mu_b, mu_ab)
-        assert validate_and_normalize(table) == table
+        assert validate_and_normalize(table) is table
         solution = solve(table)
         assert solution.deviations[0] == 0.0
         assert solution.phi_deg[0] == 90.0
