@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .dataset import (
     DEFAULT_SUM_TOLERANCE,
+    LABEL_KEYS,
     TypicalityTable,
     parse_table,
     validate_and_normalize,
@@ -91,39 +92,30 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise _UsageError(f"non-numeric value in {what}: {text!r}") from None
 
 
-def _exemplar_rows(
-    table: TypicalityTable, deviations: np.ndarray, model: dict
-) -> list[dict]:
-    """One report row per exemplar: index, name, the table's columns, the
-    classical average, the deviation, then any model columns, in order."""
+def _report(raw, table, columns: dict, model: dict, feasibility: dict) -> dict:
+    """The report of the raw and normalized tables: the raw table's labels,
+    size, sums and notes; one row per exemplar of ``table`` (index, name,
+    its columns, the classical average, then the model ``columns`` in
+    order); the ``model`` entries; and ``feasibility``."""
     columns = {
         "mu_a": table.mu_a,
         "mu_b": table.mu_b,
         "mu_ab": table.mu_ab,
         "average": 0.5 * (table.mu_a + table.mu_b),
-        "deviation": deviations,
-        **model,
+        **columns,
     }
     keys = ("index", "name", *columns)
     values = (np.asarray(column).tolist() for column in columns.values())
     rows = zip(range(1, table.n + 1), table.names, *values)
-    return [dict(zip(keys, row)) for row in rows]
-
-
-def _report(
-    raw: TypicalityTable, exemplars: list[dict], model: dict, feasibility: dict
-) -> dict:
     return {
         "tool": {"name": "concept-interference", "version": __version__},
         "dataset": {
-            "label_a": raw.label_a,
-            "label_b": raw.label_b,
-            "combination_label": raw.combination_label,
+            **{key: getattr(raw, key) for key in LABEL_KEYS},
             "n": raw.n,
             "column_sums_raw": raw.column_sums(),
             "notes": list(raw.notes),
         },
-        "exemplars": exemplars,
+        "exemplars": [dict(zip(keys, row)) for row in rows],
         **model,
         "feasibility": feasibility,
     }
@@ -140,17 +132,14 @@ def build_solve_report(
     losslessly through its JSON encoding.
     """
     labels = [label.value for _, label in classify_exemplars(solution)]
-    exemplars = _exemplar_rows(
-        table,
-        solution.deviations,
-        {
-            "lambda": solution.lambdas,
-            "phi_deg": solution.phi_deg,
-            "beta_deg": solution.phi_deg,
-            "c": np.where(np.arange(table.n) == solution.m - 1, solution.c_m, 1.0),
-            "classification": labels,
-        },
-    )
+    columns = {
+        "deviation": solution.deviations,
+        "lambda": solution.lambdas,
+        "phi_deg": solution.phi_deg,
+        "beta_deg": solution.phi_deg,
+        "c": np.where(np.arange(table.n) == solution.m - 1, solution.c_m, 1.0),
+        "classification": labels,
+    }
     model = {
         "m": solution.m,
         "c_m": solution.c_m,
@@ -165,7 +154,7 @@ def build_solve_report(
         "cm_violation": None,
         "diagnostic": None,
     }
-    return _report(raw, exemplars, model, feasibility)
+    return _report(raw, table, columns, model, feasibility)
 
 
 def build_infeasible_report(
@@ -180,14 +169,14 @@ def build_infeasible_report(
         {"index": index, "name": table.names[index - 1], "radicand": radicand}
         for index, radicand in report.infeasible_exemplars
     ]
-    exemplars = _exemplar_rows(table, compute_deviations(table), {})
     model = dict.fromkeys(("m", "c_m", "vector_a", "vector_b", "residuals"))
     feasibility = {
         "infeasible_exemplars": infeasible,
         "cm_violation": report.cm_violation,
         "diagnostic": str(error),
     }
-    return _report(raw, exemplars, model, feasibility)
+    deviation = {"deviation": compute_deviations(table)}
+    return _report(raw, table, deviation, model, feasibility)
 
 
 # Encodes JSON scalars as "[v1\nv2\n...]" in C; no value's text holds a raw newline.
@@ -363,9 +352,8 @@ def _table_from_report(data: dict) -> TypicalityTable:
         if type(index) is not int:
             raise TypeError(f"exemplar row {k}: index {index!r} is not a JSON integer")
         _json_numbers(mu, f"exemplar row {k}")
-    labels = {key: dataset[key] for key in ("label_a", "label_b", "combination_label")}
-    notes = dataset.get("notes", ())
-    return TypicalityTable(rows, notes=notes, **labels)
+    labels = (dataset[key] for key in LABEL_KEYS)
+    return TypicalityTable(rows, *labels, dataset.get("notes", ()))
 
 
 def _run_verify(args) -> int:

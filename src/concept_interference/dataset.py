@@ -25,8 +25,7 @@ import contextlib
 import csv
 import dataclasses
 import math
-from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -42,7 +41,7 @@ DEFAULT_SUM_TOLERANCE = 0.02
 _EXACT_SUM_SLACK = 1e-14
 
 _COLUMN_FIELDS = ("mu_a", "mu_b", "mu_ab")
-_LABEL_KEYS = ("label_a", "label_b", "combination_label")
+LABEL_KEYS = ("label_a", "label_b", "combination_label")
 
 
 def _text_problem(kind: str, value, allow_empty: bool = False) -> str | None:
@@ -70,7 +69,7 @@ class ExemplarRecord(NamedTuple):
     mu_ab: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TypicalityTable:
     """Exemplar names and three probability columns, with concept labels
     and free-form notes.
@@ -82,17 +81,18 @@ class TypicalityTable:
     and values are probabilities in [0, 1].  A table equals only itself.
     """
 
-    records: InitVar[Iterable[tuple[int, str, float, float, float]]]
-    label_a: str = "A"
-    label_b: str = "B"
-    combination_label: str = "A or B"
-    notes: tuple[str, ...] = ()
-    names: tuple[str, ...] = dataclasses.field(init=False)
-    mu_a: np.ndarray = dataclasses.field(init=False, repr=False)
-    mu_b: np.ndarray = dataclasses.field(init=False, repr=False)
-    mu_ab: np.ndarray = dataclasses.field(init=False, repr=False)
+    label_a: str
+    label_b: str
+    combination_label: str
+    notes: tuple[str, ...]
+    names: tuple[str, ...]
+    mu_a: np.ndarray = dataclasses.field(repr=False)
+    mu_b: np.ndarray = dataclasses.field(repr=False)
+    mu_ab: np.ndarray = dataclasses.field(repr=False)
 
-    def __post_init__(self, records):
+    def __init__(
+        self, records, label_a="A", label_b="B", combination_label="A or B", notes=()
+    ):
         rows = tuple(records)
         n = len(rows)
         indices, names, *values = zip(*rows, strict=True) if rows else ((),) * 5
@@ -126,15 +126,16 @@ class TypicalityTable:
                     raise ValidationError(f"duplicate exemplar name {name!r}")
                 seen.add(name)
 
-        if isinstance(self.notes, str):
-            raise ValidationError(f"notes must be a list of texts, got {self.notes!r}")
-        object.__setattr__(self, "notes", tuple(self.notes))
-        texts = [(key, getattr(self, key), True) for key in _LABEL_KEYS]
-        for kind, text, allow_empty in texts + [("note", t, False) for t in self.notes]:
+        if isinstance(notes, str):
+            raise ValidationError(f"notes must be a list of texts, got {notes!r}")
+        labels, notes = (label_a, label_b, combination_label), tuple(notes)
+        texts = [(key, text, True) for key, text in zip(LABEL_KEYS, labels)]
+        for kind, text, allow_empty in texts + [("note", t, False) for t in notes]:
             if problem := _text_problem(kind, text, allow_empty):
                 raise ValidationError(problem)
-        for field, value in zip(("names", *_COLUMN_FIELDS), (names, *columns)):
-            object.__setattr__(self, field, value)
+        values = (*labels, notes, names, *columns)
+        for field, value in zip(dataclasses.fields(self), values, strict=True):
+            object.__setattr__(self, field.name, value)
 
     @property
     def n(self) -> int:
@@ -196,7 +197,7 @@ def parse_table(text: str) -> TypicalityTable:
             continue
         if stripped.startswith("#"):
             key, sep, value = (part.strip() for part in stripped[1:].partition(":"))
-            if sep and key in _LABEL_KEYS:
+            if sep and key in LABEL_KEYS:
                 labels[key] = value
             elif sep and key == "note":
                 notes.append(value)
@@ -270,7 +271,8 @@ def validate_and_normalize(
     if scales != [1.0] * 3:
         columns = [(getattr(table, f) / s).tolist() for f, s in zip(sums, scales)]
         rows = zip(range(1, table.n + 1), table.names, *columns)
-        table = replace(table, records=rows)
+        labels = (getattr(table, key) for key in LABEL_KEYS)
+        table = TypicalityTable(rows, *labels, table.notes)
 
     zero = np.flatnonzero(table.mu_a * table.mu_b == 0.0)
     if zero.size:

@@ -314,10 +314,12 @@ def measure_residuals(
     Computes the orthogonality modulus |<A|B>|, both unit-norm errors, and
     the worst gap between mu_ab and the superposed-state projection; used
     both when a model is built and to re-check serialized models.  Raises
-    ValidationError unless both vectors hold n + 1 coordinates.  A norm
-    outside the normal float range reads an error near 1, inf or NaN.
+    ValidationError unless the layout is for the table's n exemplars and
+    both vectors hold n + 1 coordinates.  A norm outside the normal float
+    range reads an error near 1, inf or NaN.
     """
-    n = layout.n
+    if (n := table.n) != layout.n:
+        raise ValidationError(f"layout is for {layout.n} exemplars, table has {n}")
     vector_a = np.asarray(vector_a, dtype=np.complex128)
     vector_b = np.asarray(vector_b, dtype=np.complex128)
     for vector in (vector_a, vector_b):

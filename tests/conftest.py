@@ -187,8 +187,9 @@ def feasible_columns(draw, min_n=2, max_n=9, top_weight=None):
 
 
 def feasible_tables(min_n=2, max_n=9):
-    """Normalized tables of ``feasible_columns``.  Hypothesis cannot print a
-    table, so a test that may fail draws the columns instead."""
+    """Normalized tables of ``feasible_columns``.  Hypothesis prints a table
+    by its fields, which the constructor does not take, so a test whose
+    failing draw should paste back into an ``@example`` draws the columns."""
     columns = feasible_columns(min_n, max_n)
     return columns.map(lambda c: validate_and_normalize(make_table(*c)))
 

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import io
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concept_interference import (
@@ -237,9 +238,9 @@ class TestValidateNormalize:
     def test_normalizes_to_unit_sums(self, raw_table, reference_table):
         for field, total in reference_table.column_sums().items():
             assert abs(total - 1.0) < 1e-12
-        # labels and notes survive
-        assert reference_table.label_a == raw_table.label_a
-        assert reference_table.notes == raw_table.notes
+        # the rescaled table is a new one, with the same labels and notes
+        assert reference_table is not raw_table and raw_table.notes
+        assert table_key(reference_table)[4:] == table_key(raw_table)[4:]
 
     def test_exact_sums_returned_unchanged(self):
         table = make_table([0.5, 0.5], [0.25, 0.75], [0.1, 0.9])
@@ -366,6 +367,35 @@ class TestTableInvariants:
         assert table_key(TypicalityTable(records=RAW_ROWS)) == table_key(table)
         assert not hasattr(table, "records")
 
+    def test_every_field_is_an_attribute(self, raw_table):
+        # tools that walk a dataclass's fields, as hypothesis' printer walks
+        # __dataclass_fields__, find a value behind every one
+        names = [field.name for field in dataclasses.fields(raw_table)]
+        assert names == [
+            "label_a", "label_b", "combination_label", "notes",
+            "names", "mu_a", "mu_b", "mu_ab",
+        ]
+        assert [*TypicalityTable.__dataclass_fields__] == names
+        assert all(hasattr(raw_table, name) for name in names)
+
+    def test_positional_and_keyword_arguments_build_one_table(self):
+        rows = [(1, "a", 0.5, 0.25, 0.5), (2, "b", 0.5, 0.75, 0.5)]
+        table = TypicalityTable(rows, "X", "Y", "X or Y", ["n1"])
+        assert repr(table) == (
+            "TypicalityTable(label_a='X', label_b='Y', combination_label='X or Y', "
+            "notes=('n1',), names=('a', 'b'))"
+        )
+        keywords = TypicalityTable(
+            records=rows, label_a="X", label_b="Y", combination_label="X or Y",
+            notes=("n1",),
+        )
+        assert table_key(keywords) == table_key(table)
+
+    def test_replace_is_refused(self, raw_table):
+        # the rows are not kept, so there is nothing to rebuild the table from
+        with pytest.raises(TypeError):
+            dataclasses.replace(raw_table, label_a="X")
+
     def test_columns_are_read_only(self, raw_table):
         with pytest.raises(ValueError):
             raw_table.mu_a[0] = 0.5
@@ -464,6 +494,8 @@ def normalizable_tables(draw):
 
 
 @given(normalizable_tables())
+# hypothesis prints the arguments of an explicit example, a table among them
+@example(make_table([0.25, 0.75], [0.5, 0.5], [0.75, 0.25], notes=["n1"]))
 @settings(max_examples=80)
 def test_normalization_idempotent(table):
     once = validate_and_normalize(table)

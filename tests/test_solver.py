@@ -390,6 +390,14 @@ class TestVerification:
         report = verify_solution(reference_solution, reference_table)
         assert report == reference_solution.residuals
 
+    @pytest.mark.parametrize("n", [1, 10], ids=["fewer-rows", "more-rows"])
+    def test_layout_for_another_table_rejected(self, reference_table, n):
+        # vectors of the layout's size, so only the table tells the sizes apart
+        vector = np.full(n + 1, 0.5, dtype=complex)
+        message = rf"^layout is for {n} exemplars, table has 24$"
+        with pytest.raises(ValidationError, match=message):
+            measure_residuals(vector, vector, reference_table, ProjectorLayout(n, 1))
+
     def test_detects_perturbed_phase(self, reference_table, reference_solution):
         phi = reference_solution.phi_deg.copy()
         phi[4] += 10.0
