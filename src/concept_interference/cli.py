@@ -32,6 +32,7 @@ from .errors import (
     InfeasibilityError,
 )
 from .solver import (
+    Classification,
     FeasibilityReport,
     InterferenceSolution,
     ProjectorLayout,
@@ -92,21 +93,81 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise _UsageError(f"non-numeric value in {what}: {text!r}") from None
 
 
-def _report(raw, table, columns: dict, model: dict, feasibility: dict) -> dict:
-    """The report of the raw and normalized tables: the raw table's labels,
-    size, sums and notes; one row per exemplar of ``table`` (index, name,
-    its columns, the classical average, then the model ``columns`` in
-    order); the ``model`` entries; and ``feasibility``."""
-    columns = {
-        "mu_a": table.mu_a,
-        "mu_b": table.mu_b,
-        "mu_ab": table.mu_ab,
-        "average": 0.5 * (table.mu_a + table.mu_b),
-        **columns,
-    }
-    keys = ("index", "name", *columns)
-    values = (np.asarray(column).tolist() for column in columns.values())
-    rows = zip(range(1, table.n + 1), table.names, *values)
+def _label_texts(solution: InterferenceSolution) -> list[str]:
+    """Each exemplar's classification, as text, in index order."""
+    # keyed by identity, as the members are singletons and Enum hashes in Python
+    texts = {id(label): label.value for label in Classification}
+    labels = map(operator.itemgetter(1), classify_exemplars(solution))
+    return [*map(texts.__getitem__, map(id, labels))]
+
+
+# Encodes JSON scalars as "[v1\nv2\n...]" in C; no value's text holds a raw newline.
+_VALUE_ENCODER = json.JSONEncoder(separators=("\n", ": "))
+
+
+class _Columns(dict):
+    """A report member held as columns: text keys, each naming a non-empty
+    list of JSON scalars, all of one length.  In JSON it is the list of its
+    rows, each the dict of one value per key."""
+
+    def rows(self) -> list[dict]:
+        return [dict(zip(self, row)) for row in zip(*self.values())]
+
+    def text(self) -> str:
+        """``json.dumps(self.rows(), indent=2)`` one level deep, with one C
+        encode per distinct list."""
+        texts = {}
+        for column in self.values():
+            if id(column) not in texts:
+                texts[id(column)] = _VALUE_ENCODER.encode(column)[1:-1].split("\n")
+        entries = ",\n".join(
+            "      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+            for key in self
+        )
+        rows = zip(*(texts[id(column)] for column in self.values()))
+        return "[\n" + ",\n".join(map(f"    {{\n{entries}\n    }}".__mod__, rows)) + "\n  ]"
+
+
+def _column_report(raw, table, solution, error) -> dict:
+    """The report of ``solution``, or of ``error`` when ``table``, normalized
+    from ``raw``, has no model: the raw table's labels, size, sums and
+    notes; per exemplar its index, name, columns, classical average and
+    deviation, then the model's columns; the model's entries, or None each;
+    and the feasibility.  The exemplars and the vectors are ``_Columns``."""
+    deviations = compute_deviations(table) if solution is None else solution.deviations
+    exemplars = _Columns(
+        index=list(range(1, table.n + 1)),
+        name=table.names,
+        **{key: getattr(table, key).tolist() for key in ("mu_a", "mu_b", "mu_ab")},
+        average=(0.5 * (table.mu_a + table.mu_b)).tolist(),
+        deviation=deviations.tolist(),
+    )
+    model = dict.fromkeys(("m", "c_m", "vector_a", "vector_b", "residuals"))
+    # a DegeneracyError, or an InfeasibilityError built bare, carries none
+    feasibility = getattr(error, "report", None) or FeasibilityReport()
+    if solution is not None:
+        # one list for both angles, so that its text is encoded once
+        phi_deg = solution.phi_deg.tolist()
+        exemplars |= {
+            "lambda": solution.lambdas.tolist(),
+            "phi_deg": phi_deg,
+            "beta_deg": phi_deg,
+            "c": np.where(np.arange(table.n) == solution.m - 1, solution.c_m, 1.0).tolist(),
+            "classification": _label_texts(solution),
+        }
+        model = {
+            "m": solution.m,
+            "c_m": solution.c_m,
+            **{
+                key: _Columns(re=v.real.tolist(), im=v.imag.tolist())
+                for key, v in (("vector_a", solution.vector_a), ("vector_b", solution.vector_b))
+            },
+            "residuals": asdict(solution.residuals),
+        }
+    infeasible = [
+        {"index": index, "name": table.names[index - 1], "radicand": radicand}
+        for index, radicand in feasibility.infeasible_exemplars
+    ]
     return {
         "tool": {"name": "concept-interference", "version": __version__},
         "dataset": {
@@ -115,10 +176,19 @@ def _report(raw, table, columns: dict, model: dict, feasibility: dict) -> dict:
             "column_sums_raw": raw.column_sums(),
             "notes": list(raw.notes),
         },
-        "exemplars": [dict(zip(keys, row)) for row in rows],
+        "exemplars": exemplars,
         **model,
-        "feasibility": feasibility,
+        "feasibility": {
+            "infeasible_exemplars": infeasible,
+            "cm_violation": feasibility.cm_violation,
+            "diagnostic": None if error is None else str(error),
+        },
     }
+
+
+def _expanded(report: dict) -> dict:
+    """``report`` with each column member as its list of row dicts."""
+    return {k: v.rows() if type(v) is _Columns else v for k, v in report.items()}
 
 
 def build_solve_report(
@@ -131,30 +201,7 @@ def build_solve_report(
     All values are stored at full precision, so the report round-trips
     losslessly through its JSON encoding.
     """
-    labels = [label.value for _, label in classify_exemplars(solution)]
-    columns = {
-        "deviation": solution.deviations,
-        "lambda": solution.lambdas,
-        "phi_deg": solution.phi_deg,
-        "beta_deg": solution.phi_deg,
-        "c": np.where(np.arange(table.n) == solution.m - 1, solution.c_m, 1.0),
-        "classification": labels,
-    }
-    model = {
-        "m": solution.m,
-        "c_m": solution.c_m,
-        **{
-            key: [{"re": re, "im": im} for re, im in zip(v.real.tolist(), v.imag.tolist())]
-            for key, v in (("vector_a", solution.vector_a), ("vector_b", solution.vector_b))
-        },
-        "residuals": asdict(solution.residuals),
-    }
-    feasibility = {
-        "infeasible_exemplars": [],
-        "cm_violation": None,
-        "diagnostic": None,
-    }
-    return _report(raw, table, columns, model, feasibility)
+    return _expanded(_column_report(raw, table, solution, None))
 
 
 def build_infeasible_report(
@@ -163,60 +210,22 @@ def build_infeasible_report(
     error: ConceptInterferenceError,
 ) -> dict:
     """Report for data the model cannot represent; no partial model inside."""
-    # a DegeneracyError, or an InfeasibilityError built bare, carries none
-    report = getattr(error, "report", None) or FeasibilityReport()
-    infeasible = [
-        {"index": index, "name": table.names[index - 1], "radicand": radicand}
-        for index, radicand in report.infeasible_exemplars
-    ]
-    model = dict.fromkeys(("m", "c_m", "vector_a", "vector_b", "residuals"))
-    feasibility = {
-        "infeasible_exemplars": infeasible,
-        "cm_violation": report.cm_violation,
-        "diagnostic": str(error),
-    }
-    deviation = {"deviation": compute_deviations(table)}
-    return _report(raw, table, deviation, model, feasibility)
-
-
-# Encodes JSON scalars as "[v1\nv2\n...]" in C; no value's text holds a raw newline.
-_VALUE_ENCODER = json.JSONEncoder(separators=("\n", ": "))
-_ROW_VALUE_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
-def _rows_text(rows) -> str | None:
-    """``json.dumps(rows, indent=2)`` one level deep, for a non-empty list of
-    flat dicts of JSON scalars in one key order; None for any other value."""
-    if type(rows) is not list or {*map(type, rows)} != {dict}:
-        return None
-    keys = tuple(rows[0])
-    if {*map(type, keys)} != {str} or {*map(tuple, rows)} != {keys}:
-        return None
-    values = [*chain.from_iterable(map(dict.values, rows))]
-    if not {*map(type, values)} <= _ROW_VALUE_TYPES:
-        return None
-    texts = tuple(_VALUE_ENCODER.encode(values)[1:-1].split("\n"))
-    entries = ",\n".join(
-        "      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
-        for key in keys
-    )
-    template = "    {\n" + entries + "\n    }"
-    # the brackets are in the one format, so the text is built once, not copied
-    return ("[\n" + ",\n".join([template] * len(rows)) + "\n  ]") % texts
+    return _expanded(_column_report(raw, table, None, error))
 
 
 def _encode_report(report: dict) -> str:
-    """``json.dumps(report, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(_expanded(report), indent=2) + "\\n"``, byte for byte.
 
-    The indented standard-library encoder runs in pure Python; the values of
-    the exemplar rows and the vector pairs go through the C encoder instead,
-    and every other top-level value goes through ``json.dumps`` re-indented.
-    The report is a non-empty dict with text keys, as the builders return.
+    The indented standard-library encoder runs in pure Python; the column
+    members go through the C encoder instead, and every other top-level
+    value goes through ``json.dumps`` re-indented.  The report is a
+    non-empty dict with text keys, as the builders return.
     """
     members = []
     for key, value in report.items():
-        text = _rows_text(value)
-        if text is None:
+        if type(value) is _Columns:
+            text = value.text()
+        else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         members.append(f"  {encode_basestring_ascii(key)}: {text}")
     return "{\n" + ",\n".join(members) + "\n}\n"
@@ -258,10 +267,9 @@ def _over_threshold(residuals) -> list[str]:
 
 def _run_solve(args) -> int:
     raw, table, solution, error = _load_and_solve(args)
+    _write_json(_column_report(raw, table, solution, error), args.output)
     if error is not None:
-        _write_json(build_infeasible_report(raw, table, error), args.output)
         return _infeasible(error)
-    _write_json(build_solve_report(raw, table, solution), args.output)
     residuals = solution.residuals
     over = [
         f"{key} = {getattr(residuals, key):.3e} > {RESIDUAL_THRESHOLD:.0e}"
@@ -309,9 +317,9 @@ def _run_classify(args) -> int:
     _, table, solution, error = _load_and_solve(args)
     if error is not None:
         return _infeasible(error)
-    labels = np.array([label.value for _, label in classify_exemplars(solution)])
+    labels = np.array(_label_texts(solution))
     cos_phi = np.cos(np.radians(solution.phi_deg))
-    phi_deg, deviations = solution.phi_deg.tolist(), solution.deviations.tolist()
+    columns = (table.names, solution.phi_deg.tolist(), solution.deviations.tolist())
     lines = []
     # Strongest interference effect first: most negative cosine heads the
     # weakening list, most positive heads the strengthening list; ties and
@@ -327,10 +335,10 @@ def _run_classify(args) -> int:
         if key is not None:
             rows = rows[np.argsort(key[rows], kind="stable")]
         lines.append(f"{title} ({rows.size} exemplar(s)):")
-        lines += (
-            f"  {table.names[i]:<16} phi = {phi_deg[i]:>10.4f} deg"
-            f"   deviation = {deviations[i]:+.4f}"
-            for i in rows.tolist()
+        order = rows.tolist()
+        lines += map(
+            "  %-16s phi = %10.4f deg   deviation = %+.4f".__mod__,
+            zip(*(map(column.__getitem__, order) for column in columns)),
         )
     lines += (f"note: {note}" for note in table.notes)
     print("\n".join(lines))

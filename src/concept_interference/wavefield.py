@@ -459,9 +459,9 @@ def render_grids(
 
     The phase field's rows are split here and nowhere else: into bands of
     max(1, min(4096 // W, H // threads)) rows, threads = max(1, min(usable
-    CPUs, n*H*W // 2**20, H)), thread s folding bands s, s + threads, ...
-    in tiles of 2**17 values and the caller running thread 0.  No output
-    byte depends on the split.
+    CPUs, n*H*W // 2**20, H)), share s being bands s, s + threads, ... in
+    tiles of 2**17 values: the caller folds share 0, a pool of threads - 1
+    threads the rest.  No output byte depends on the split.
     """
     x_min, x_max, y_min, y_max = (float(v) for v in window)
     if not (x_min < x_max and y_min < y_max):

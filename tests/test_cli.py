@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import csv
+import io
 import json
 import math
 import re
@@ -22,8 +25,9 @@ from concept_interference import (
     wavefield,
 )
 from concept_interference.cli import (
+    _Columns,
+    _column_report,
     _encode_report,
-    _rows_text,
     build_infeasible_report,
     build_solve_report,
     main,
@@ -77,47 +81,64 @@ _ROW_FLOAT_KEYS = (
 )
 
 
-def _infeasible_report():
+def _infeasible_args():
+    """(raw, table, None, error) of INFEASIBLE_CSV, as the CLI's solve has them."""
     raw = parse_table(INFEASIBLE_CSV)
     table = validate_and_normalize(raw)
     with pytest.raises(InfeasibilityError) as info:
         solve(table)
-    return build_infeasible_report(raw, table, info.value)
+    return raw, table, None, info.value
+
+
+def _replaced(column, draw):
+    """A copy of ``column`` with some values replaced by drawn scalars."""
+    column = list(column)
+    indices = st.integers(0, len(column) - 1)
+    for index, value in draw(st.dictionaries(indices, _VALUES)).items():
+        column[index] = value
+    return column
 
 
 @st.composite
 def reports(draw):
-    """Solve and infeasible reports, with names from st.text() and some row
-    values replaced by drawn floats and other scalars."""
+    """Solve and infeasible reports in column form, with names from
+    st.text() and some column values replaced by drawn floats and other
+    scalars; phi_deg and beta_deg stay one list unless either is drawn."""
     if draw(st.booleans()):
-        report = _infeasible_report()
+        report = _column_report(*_infeasible_args())
     else:
         table = draw(feasible_tables())
-        report = build_solve_report(table, table, solve_feasible(table))
-    rows = [
-        *report["exemplars"],
-        *report["feasibility"]["infeasible_exemplars"],
-        *(report["vector_a"] or ()),
-        *(report["vector_b"] or ()),
-    ]
-    for row in rows:
-        if "name" in row:
-            row["name"] = draw(st.text())
-        keys = [key for key in _ROW_FLOAT_KEYS if key in row]
-        row.update(draw(st.dictionaries(st.sampled_from(keys), _VALUES)))
+        report = _column_report(table, table, solve_feasible(table), None)
+    members = [value for value in report.values() if isinstance(value, _Columns)]
+    for columns in members:
+        if "name" in columns:
+            columns["name"] = [draw(st.text()) for _ in columns["name"]]
+        for key in [key for key in _ROW_FLOAT_KEYS if key in columns]:
+            if draw(st.booleans()):
+                columns[key] = _replaced(columns[key], draw)
+    for row in report["feasibility"]["infeasible_exemplars"]:
+        row.update(name=draw(st.text()), radicand=draw(_VALUES))
     if draw(st.booleans()):
         report["c_m"] = draw(_VALUES)
     return report
 
 
+def _rows(columns: dict) -> list[dict]:
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 @settings(max_examples=80, deadline=None)
 @given(reports())
 def test_encoder_writes_json_dumps_bytes(report):
-    assert _encode_report(report) == json.dumps(report, indent=2) + "\n"
+    expanded = {
+        key: _rows(value) if isinstance(value, _Columns) else value
+        for key, value in report.items()
+    }
+    assert _encode_report(report) == json.dumps(expanded, indent=2) + "\n"
 
 
-# lists of flat rows with JSON scalar values, which the encoder writes row by
-# row whatever their mix of kinds
+# lists of flat rows with JSON scalar values, which the encoder writes from
+# their columns whatever their mix of kinds
 _SCALAR_ROWS = [
     [{"a": 1.5}, {"a": math.nan}],
     [{"a": math.inf}, {"a": -math.inf}],
@@ -126,12 +147,69 @@ _SCALAR_ROWS = [
     [{"a": 1}, {"a": 2.5}],
     [{"a": "raw\nnewline", "b": "},\n      {"}],
     [{"a": 1}],
+    [{"a": -0.0}, {"a": 1e308}],
+    [{"a": True, "b": False}, {"a": 1, "b": 0}],
+    [{"100%": 1.0, "%s": "x"}, {"100%": "%s", "%s": "%%"}],
 ]
 
 
 @pytest.mark.parametrize("rows", _SCALAR_ROWS, ids=repr)
 def test_encoder_writes_scalar_rows_row_by_row(rows):
-    assert _rows_text(rows) == json.dumps(rows, indent=2).replace("\n", "\n  ")
+    columns = _Columns({key: [row[key] for row in rows] for key in rows[0]})
+    assert columns.text() == json.dumps(rows, indent=2).replace("\n", "\n  ")
+
+
+def test_encoder_writes_a_shared_column_under_each_key():
+    shared = [0.1, -0.0, math.nan, 1e308]
+    rows = [{"a": v, "b": v, "c": i} for i, v in enumerate(shared)]
+    columns = _Columns(a=shared, b=shared, c=list(range(4)))
+    assert columns.text() == json.dumps(rows, indent=2).replace("\n", "\n  ")
+
+
+# characters str.splitlines breaks a line at, which no name in a CSV holds
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_CSV_NAMES = st.text(
+    st.sampled_from('%"\\\x00\x07\t\x7fé→')
+    | st.characters(codec="utf-8", exclude_characters=_LINE_BREAKS),
+    min_size=1,
+    max_size=8,
+).filter(lambda name: name == name.strip() and not name.startswith("#"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_solve_writes_json_dumps_of_the_report_dict(tmp_path_factory, data):
+    """CLI solve writes json.dumps(build_..._report(...), indent=2) + "\\n",
+    to the -o file and to stdout, for feasible and infeasible tables."""
+    if data.draw(st.booleans()):
+        table = data.draw(feasible_tables())
+        columns = (table.mu_a.tolist(), table.mu_b.tolist(), table.mu_ab.tolist())
+    else:
+        columns = ([0.01, 0.5, 0.49], [0.01, 0.5, 0.49], [0.5, 0.3, 0.2])
+    n = len(columns[0])
+    names = data.draw(st.lists(_CSV_NAMES, min_size=n, max_size=n, unique=True))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("exemplar", "mu_a", "mu_b", "mu_ab"))
+    writer.writerows(zip(names, *(map(repr, column) for column in columns)))
+    raw = parse_table(buffer.getvalue())
+    table = validate_and_normalize(raw)
+    assert table.names == tuple(names)
+    try:
+        report = build_solve_report(raw, table, solve(table))
+    except InfeasibilityError as error:
+        report = build_infeasible_report(raw, table, error)
+    want = json.dumps(report, indent=2) + "\n"
+    directory = tmp_path_factory.mktemp("solve")
+    (directory / "table.csv").write_text(buffer.getvalue(), encoding="utf-8")
+    argv = ["solve", str(directory / "table.csv")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+        assert main([*argv, "-o", str(directory / "report.json")]) == status
+    assert status == (0 if report["vector_a"] else 2)
+    assert stdout.getvalue() == want
+    assert (directory / "report.json").read_text(encoding="utf-8") == want
 
 
 @pytest.mark.parametrize(

@@ -971,26 +971,33 @@ class TestRenderGrids:
     ):
         # 24 nodes on 400 x 400 pixels are 3.84e6 node-pixel pairs: three
         # threads when three CPUs are usable, folding 40 bands of 4096 // 400
-        # = 10 rows in turn, so the caller takes 14 bands and each worker 13
+        # = 10 rows.  The caller folds bands 0, 3, 6, ... and a pool of two
+        # threads the other 26, shares 1 and 2 in either thread or both
         monkeypatch.setattr(wavefield, "_usable_cpus", lambda: 3)
-        callers = []
+        folds = []
         fold = PhaseField._fold
 
         def fold_in_thread(field, x, y, tile_values):
-            callers.append((threading.get_ident(), len(y)))
+            folds.append((threading.get_ident(), float(y[0, 0]), len(y)))
             return fold(field, x, y, tile_values)
 
         monkeypatch.setattr(PhaseField, "_fold", fold_in_thread)
         phase = interpolate_phase(reference_placements, solve(reference_table).phi_deg)
         window = default_window(reference_placements, *reference_fields)
         grids = render_grids(*reference_fields, phase, window, (400, 400))
-        assert [rows for _, rows in callers] == [10] * 40
-        shares = collections.Counter(caller for caller, _ in callers)
-        assert shares.pop(threading.get_ident()) == 14
-        assert sorted(shares.values()) == [13, 13]
         x_min, x_max, y_min, y_max = window
         xs = x_min + (np.arange(400) + 0.5) * ((x_max - x_min) / 400)
         ys = y_max - (np.arange(400) + 0.5) * ((y_max - y_min) / 400)
+        assert [rows for *_, rows in folds] == [10] * 40
+        # each band by its first row's y
+        firsts = ys[::10].tolist()
+        caller = threading.get_ident()
+        assert sorted(y for thread, y, _ in folds if thread == caller) == sorted(
+            firsts[0::3]
+        )
+        assert sorted(y for thread, y, _ in folds if thread != caller) == sorted(
+            firsts[1::3] + firsts[2::3]
+        )
         grid_x, grid_y = np.meshgrid(xs, ys, sparse=True)
         intensity_a, intensity_b = (f.intensity(grid_x, grid_y) for f in reference_fields)
         classical = 0.5 * (intensity_a + intensity_b)
