@@ -26,7 +26,7 @@ table = validate_and_normalize(TypicalityTable(records=records))
 deviations = compute_deviations(table)
 magnitudes, report = compute_lambda_magnitudes(table)
 print("deviation per exemplar:", [round(float(d), 4) for d in deviations])
-print("constructible:", report.constructible)
+print("constructible:", not report.infeasible_exemplars)
 for index, radicand in report.infeasible_exemplars:
     print(
         f"  exemplar {index} ({table.names[index - 1]}): "

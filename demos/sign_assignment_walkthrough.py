@@ -18,7 +18,7 @@ from concept_interference import (
 
 table = validate_and_normalize(fruits_vegetables())
 magnitudes, report = compute_lambda_magnitudes(table)
-assert report.constructible
+assert not report.infeasible_exemplars
 
 print(f"{'step':>4} {'exemplar':<14} {'|lambda|':>9} {'sign':>4} {'running sum':>12}")
 print("-" * 48)

@@ -8,7 +8,6 @@ the corresponding two-Gaussian interference landscapes as raster grids.
 """
 
 from .dataset import (
-    DEFAULT_SUM_TOLERANCE,
     ExemplarRecord,
     TypicalityTable,
     fruits_vegetables,
@@ -25,10 +24,7 @@ from .errors import (
 )
 from .solver import (
     Classification,
-    FeasibilityReport,
-    InterferenceSolution,
     ProjectorLayout,
-    VerificationReport,
     assign_signs,
     build_state_vectors,
     classify_exemplars,
@@ -43,9 +39,6 @@ from .solver import (
 from .wavefield import (
     GaussianField,
     PhaseField,
-    Placement,
-    PlacementMap,
-    RasterGrid,
     default_window,
     fit_gaussian_fields,
     grid_to_csv,
@@ -61,23 +54,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Classification",
     "ConceptInterferenceError",
-    "DEFAULT_SUM_TOLERANCE",
     "DegeneracyError",
     "ExemplarRecord",
-    "FeasibilityReport",
     "FitError",
     "GaussianField",
     "InfeasibilityError",
-    "InterferenceSolution",
     "ParseError",
     "PhaseField",
-    "Placement",
-    "PlacementMap",
     "ProjectorLayout",
-    "RasterGrid",
     "TypicalityTable",
     "ValidationError",
-    "VerificationReport",
     "assign_signs",
     "build_state_vectors",
     "classify_exemplars",

@@ -324,17 +324,17 @@ def _run_classify(args) -> int:
     # Strongest interference effect first: most negative cosine heads the
     # weakening list, most positive heads the strengthening list; ties and
     # the classical list go by index.
-    for title, key in (
-        ("Weakening", cos_phi),
-        ("Strengthening", -cos_phi),
-        ("Classical", None),
+    for label, key in (
+        (Classification.WEAKENING, cos_phi),
+        (Classification.STRENGTHENING, -cos_phi),
+        (Classification.CLASSICAL, None),
     ):
-        rows = np.flatnonzero(labels == title)
-        if title == "Classical" and not rows.size:
+        rows = np.flatnonzero(labels == label.value)
+        if label is Classification.CLASSICAL and not rows.size:
             continue
         if key is not None:
             rows = rows[np.argsort(key[rows], kind="stable")]
-        lines.append(f"{title} ({rows.size} exemplar(s)):")
+        lines.append(f"{label.value} ({rows.size} exemplar(s)):")
         order = rows.tolist()
         lines += map(
             "  %-16s phi = %10.4f deg   deviation = %+.4f".__mod__,
@@ -432,9 +432,7 @@ def _build_parser() -> _Parser:
         parents=[table_args],
         help="fit the model and write a JSON solve report",
     )
-    solve_p.add_argument(
-        "-o", "--output", default=None, help="report path (default: stdout)"
-    )
+    solve_p.add_argument("-o", "--output", help="report path (default: stdout)")
     solve_p.set_defaults(func=_run_solve)
 
     render_p = sub.add_parser(
@@ -460,15 +458,12 @@ def _build_parser() -> _Parser:
     )
     render_p.add_argument(
         "--window",
-        default=None,
         metavar="XMIN,XMAX,YMIN,YMAX",
         help="world window (default: placements padded by 2 sigma)",
     )
     render_p.add_argument(
         "--phase-constant",
-        dest="phase_constant",
         type=float,
-        default=None,
         metavar="DEG",
         help="replace the interpolated phase field with a constant",
     )

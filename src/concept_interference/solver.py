@@ -97,10 +97,6 @@ class FeasibilityReport:
     infeasible_exemplars: tuple[tuple[int, float], ...] = ()
     cm_violation: float | None = None
 
-    @property
-    def constructible(self) -> bool:
-        return not self.infeasible_exemplars and self.cm_violation is None
-
 
 @dataclass(frozen=True)
 class ProjectorLayout:
@@ -380,7 +376,7 @@ def solve(table: TypicalityTable) -> InterferenceSolution:
     """
     deviations = compute_deviations(table)
     magnitudes, feasibility = compute_lambda_magnitudes(table)
-    if not feasibility.constructible:
+    if feasibility.infeasible_exemplars:
         rows = ", ".join(
             f"{index} ({table.names[index - 1]})"
             for index, _ in feasibility.infeasible_exemplars

@@ -196,7 +196,7 @@ def test_solve_writes_json_dumps_of_the_report_dict(tmp_path_factory, data):
     table = validate_and_normalize(raw)
     assert table.names == tuple(names)
     try:
-        report = build_solve_report(raw, table, solve(table))
+        report = build_solve_report(raw, table, solve_feasible(table))
     except InfeasibilityError as error:
         report = build_infeasible_report(raw, table, error)
     want = json.dumps(report, indent=2) + "\n"

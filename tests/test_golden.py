@@ -39,6 +39,16 @@ RENDER_FILES = {
     "placements.csv": "8916baac2a99130cf1c7e5a9b60272bf3c48bad3960543fc7a74cb09d71b4ddb",
 }
 
+# `--help` of the tool and of each subcommand at 80 columns; argparse's
+# wording is CPython's, so another minor version may differ.
+HELP_STDOUT = {
+    (): "6eb8bf5cf74a6f2c459e667daecbfccec0b06fab0389e4155fa26ab2cb6c0e3c",
+    ("solve",): "bca201bef24be7622f212ba18205c15b0d130e9c57f7b7b2a44ffca8de1058e0",
+    ("render",): "8d26540bf84125765dd1a8b70c081446f22495b78a8b2b20aa94cad3d586b35d",
+    ("classify",): "8cd4eb1cfbf02f07bbef354a0f38fd860af39420acdaae9acf8bc7c67d8bab94",
+    ("verify",): "ecd91fb3e8ca4030d8fd4aa289f53ecb47cae4946699010b980b0e1ebbd7ac7b",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -78,3 +88,12 @@ def test_render_file_digests(report_path, capsys):
     capsys.readouterr()
     digests = {p.name: _sha256(p.read_bytes()) for p in out_dir.iterdir()}
     assert digests == RENDER_FILES
+
+
+@pytest.mark.parametrize("command", HELP_STDOUT)
+def test_help_stdout_digest(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    assert excinfo.value.code == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == HELP_STDOUT[command]

@@ -25,6 +25,7 @@ from concept_interference import (
     verify_solution,
 )
 from concept_interference.cli import build_solve_report
+from concept_interference.solver import FeasibilityReport
 
 from conftest import (
     feasible_tables,
@@ -72,7 +73,7 @@ class TestDeviations:
 class TestLambdaMagnitudes:
     def test_reference_spot_values(self, reference_table):
         magnitudes, report = compute_lambda_magnitudes(reference_table)
-        assert report.constructible
+        assert report == FeasibilityReport()
         assert magnitudes[0] == pytest.approx(0.0218, abs=5e-4)   # Almond
         assert magnitudes[13] == pytest.approx(0.0088, abs=5e-4)  # Mushroom
 
@@ -81,7 +82,6 @@ class TestLambdaMagnitudes:
             [0.01, 0.5, 0.49], [0.01, 0.5, 0.49], [0.5, 0.3, 0.2]
         )
         magnitudes, report = compute_lambda_magnitudes(table)
-        assert not report.constructible
         assert len(report.infeasible_exemplars) == 1
         index, radicand = report.infeasible_exemplars[0]
         assert index == 1

@@ -1202,7 +1202,7 @@ class TestExports:
         assert body.max() == 255
 
     def test_pgm_constant_grid_all_zero(self):
-        from concept_interference import RasterGrid
+        from concept_interference.wavefield import RasterGrid
 
         grid = RasterGrid(3, 2, 0.0, 1.0, 0.0, 1.0, np.full((2, 3), 7.0))
         blob = grid_to_pgm(grid)
