@@ -37,7 +37,6 @@ from .solver import (
     verify_solution,
 )
 from .wavefield import (
-    GaussianField,
     PhaseField,
     default_window,
     fit_gaussian_fields,
@@ -57,7 +56,6 @@ __all__ = [
     "DegeneracyError",
     "ExemplarRecord",
     "FitError",
-    "GaussianField",
     "InfeasibilityError",
     "ParseError",
     "PhaseField",

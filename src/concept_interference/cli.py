@@ -95,10 +95,7 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
 
 def _label_texts(solution: InterferenceSolution) -> list[str]:
     """Each exemplar's classification, as text, in index order."""
-    # keyed by identity, as the members are singletons and Enum hashes in Python
-    texts = {id(label): label.value for label in Classification}
-    labels = map(operator.itemgetter(1), classify_exemplars(solution))
-    return [*map(texts.__getitem__, map(id, labels))]
+    return [label._value_ for _, label in classify_exemplars(solution)]
 
 
 # Encodes JSON scalars as "[v1\nv2\n...]" in C; no value's text holds a raw newline.
@@ -282,8 +279,6 @@ def _run_solve(args) -> int:
 
 
 def _run_render(args) -> int:
-    if args.resolution < 2:
-        return _fail(f"resolution must be at least 2, got {args.resolution}")
     _, table, solution, error = _load_and_solve(args)
     if error is not None:
         return _infeasible(error)

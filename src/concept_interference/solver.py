@@ -112,8 +112,6 @@ class ProjectorLayout:
 
     def __post_init__(self):
         m, n = self.m, self.n
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
         integer = isinstance(m, (int, np.integer)) and not isinstance(m, bool)
         if not (integer and 1 <= m <= n):
             raise ValidationError(f"m must be an integer in 1..{n}, got {m!r}")

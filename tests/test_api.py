@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "DegeneracyError",
     "ExemplarRecord",
     "FitError",
-    "GaussianField",
     "InfeasibilityError",
     "ParseError",
     "PhaseField",
@@ -57,6 +56,7 @@ MOVED_NAMES = {
     "FeasibilityReport": "solver",
     "InterferenceSolution": "solver",
     "VerificationReport": "solver",
+    "GaussianField": "wavefield",
     "Placement": "wavefield",
     "PlacementMap": "wavefield",
     "RasterGrid": "wavefield",

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concept_interference import (
-    GaussianField,
     InfeasibilityError,
     PhaseField,
     cli,
@@ -415,6 +414,14 @@ class TestSolveCommand:
         assert main(["solve"]) == 1
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+        assert main([]) == 1
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: command\n"
+        )
+        assert main(["render", "table.csv", "--phase-constant", "abc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --phase-constant: invalid float value: 'abc'\n"
+        )
 
     def test_residual_over_threshold_exits_2(
         self, dataset_path, tmp_path, capsys, monkeypatch
@@ -457,6 +464,22 @@ class TestVerifyCommand:
         status = main(["verify", str(report_path)])
         assert status == 2
         assert "verification failed" in capsys.readouterr().err
+
+    def test_verify_compares_each_stored_residual(self, dataset_path, tmp_path, capsys):
+        # 5e-10 is under the threshold, but more than 1e-12 from the
+        # recomputed residual
+        report_path = tmp_path / "report.json"
+        main(["solve", str(dataset_path), "-o", str(report_path)])
+        report = json.loads(report_path.read_text())
+        assert report["residuals"]["orthogonality_modulus"] < 1e-12
+        report["residuals"]["orthogonality_modulus"] = 5e-10
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", str(report_path)]) == 2
+        assert capsys.readouterr().err == (
+            "verification failed: orthogonality_modulus differs from the "
+            "stored value 5e-10\n"
+        )
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -634,8 +657,25 @@ class TestVerifyCommand:
         path.write_text(INFEASIBLE_CSV)
         report_path = tmp_path / "report.json"
         main(["solve", str(path), "-o", str(report_path)])
-        assert main(["verify", str(report_path)]) == 1
         capsys.readouterr()
+        assert main(["verify", str(report_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: report carries no model vectors (infeasible run?)\n"
+        )
+
+    @pytest.mark.parametrize("key", ["vector_a", "vector_b"])
+    def test_verify_report_without_one_vector_exits_1(
+        self, dataset_path, tmp_path, capsys, key
+    ):
+        report_path = tmp_path / "report.json"
+        main(["solve", str(dataset_path), "-o", str(report_path)])
+        report = json.loads(report_path.read_text())
+        report[key] = None
+        report_path.write_text(json.dumps(report))
+        assert main(["verify", str(report_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: report carries no model vectors (infeasible run?)\n"
+        )
 
 
 class TestClassifyCommand:
@@ -683,12 +723,13 @@ class TestClassifyCommand:
 
 
 class TestRenderCommand:
-    def test_render_writes_all_outputs(self, dataset_path, tmp_path):
+    def test_render_writes_all_outputs(self, dataset_path, tmp_path, capsys):
         out_dir = tmp_path / "figs"
         status = main(
             ["render", str(dataset_path), "-o", str(out_dir), "--resolution", "64"]
         )
         assert status == 0
+        assert capsys.readouterr().out == f"wrote 9 files to {out_dir}\n"
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == [
             "a_only.csv", "a_only.pgm", "b_only.csv", "b_only.pgm",
@@ -701,6 +742,14 @@ class TestRenderCommand:
         assert apple == "Apple,0.0,0.0,0.0"
         broccoli = next(line for line in placements if line.startswith("Broccoli"))
         assert broccoli == "Broccoli,10.0,4.0,0.0"
+
+    def test_render_writes_into_landscapes_by_default(
+        self, dataset_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["render", str(dataset_path), "--resolution", "4"]) == 0
+        assert capsys.readouterr().out == "wrote 9 files to landscapes\n"
+        assert len(list((tmp_path / "landscapes").iterdir())) == 9
 
     def test_phase_constant_90_matches_classical_byte_for_byte(
         self, dataset_path, tmp_path
@@ -726,7 +775,10 @@ class TestRenderCommand:
              "--resolution", "1"]
         )
         assert status == 1
-        assert "resolution" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: resolution must be at least 2x2, got (1, 1)\n"
+        )
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -968,7 +1020,7 @@ class TestRenderCommand:
         def no_room(field, x, y):
             raise MemoryError(message)
 
-        monkeypatch.setattr(GaussianField, "intensity", no_room)
+        monkeypatch.setattr(wavefield.GaussianField, "intensity", no_room)
         out_dir = tmp_path / "out"
         assert main(["render", str(dataset_path), "-o", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: {printed or message}\n"

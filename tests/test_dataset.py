@@ -217,11 +217,16 @@ class TestParse:
             parse_table("")
 
     def test_crlf_and_comments_and_defaults(self):
-        text = "# free comment\r\nexemplar,mu_a,mu_b,mu_ab\r\nA,0.5,0.5,0.5\r\nB,0.5,0.5,0.5\r\n"
+        # a note or label key with no colon after it is a plain comment too
+        text = (
+            "# free comment\r\n# note\r\n# label_a\r\n"
+            "exemplar,mu_a,mu_b,mu_ab\r\nA,0.5,0.5,0.5\r\nB,0.5,0.5,0.5\r\n"
+        )
         table = parse_table(text)
         assert table.n == 2
         assert (table.label_a, table.label_b) == ("A", "B")
         assert table.combination_label == "A or B"
+        assert table.notes == ()
 
     def test_name_with_comma_quoted(self):
         table = make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], names=["a, b", "c"])
@@ -255,6 +260,11 @@ class TestValidateNormalize:
         table = make_table([0.25, 0.25], [0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValidationError, match="0.5"):
             validate_and_normalize(table, tolerance=0.02)
+        # a zero sum lies within a tolerance of 1, but no scale reaches 1
+        table = make_table([0.0, 0.0], [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValidationError) as excinfo:
+            validate_and_normalize(table, tolerance=1.0)
+        assert str(excinfo.value) == "column mu_a sums to 0.0, outside tolerance 1.0 of 1"
 
     def test_zero_marginal_rejected(self):
         table = make_table([0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
@@ -277,6 +287,9 @@ class TestValidateNormalize:
         table = make_table([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValidationError, match="tolerance"):
             validate_and_normalize(table, tolerance=0.0)
+        with pytest.raises(ValidationError) as excinfo:
+            validate_and_normalize(table, tolerance="0.02")
+        assert str(excinfo.value) == "tolerance must be positive, got '0.02'"
 
 
 class TestTableInvariants:

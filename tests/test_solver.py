@@ -168,6 +168,11 @@ class TestSignAssignment:
         visited, _, running = greedy_trace([0.31623, 0.3, 0.31623])
         assert visited.tolist() == [1, 3, 2]
         assert running[-1] == pytest.approx(0.3)
+        # visit 3, 4, 1, 2: an unstable sort may visit the tied 2 before 1,
+        # which flips both their signs
+        signs, m = assign_signs([1, 1, 3, 2])
+        assert m == 3
+        assert signs.tolist() == [-1, 1, 1, -1]
 
     def test_reference_trace_matches_published_narrative(self, reference_table):
         magnitudes, _ = compute_lambda_magnitudes(reference_table)

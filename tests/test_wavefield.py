@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from concept_interference import (
     FitError,
-    GaussianField,
     PhaseField,
     ValidationError,
     default_window,
@@ -26,7 +25,7 @@ from concept_interference import (
     solve,
 )
 from concept_interference import parse_table, validate_and_normalize, wavefield
-from concept_interference.wavefield import cos_deg
+from concept_interference.wavefield import GaussianField, PlacementMap, cos_deg
 
 from conftest import feasible_columns, feasible_tables, make_table, solve_feasible
 from reference_values import SIGMA_A, SIGMA_B
@@ -147,8 +146,11 @@ class TestFit:
     @pytest.mark.parametrize(
         "sigma, peak, message",
         [(0.0, 1.0, "sigma must be positive, got 0.0"),
-         (1.0, math.nan, "peak must be positive, got nan")],
-        ids=["zero-sigma", "nan-peak"],
+         (math.inf, 1.0, "sigma must be positive, got inf"),
+         (1.0, 0.0, "peak must be positive, got 0.0"),
+         (1.0, math.nan, "peak must be positive, got nan"),
+         (1.0, math.inf, "peak must be positive, got inf")],
+        ids=["zero-sigma", "inf-sigma", "zero-peak", "nan-peak", "inf-peak"],
     )
     def test_non_positive_width_or_peak_rejected(self, sigma, peak, message):
         with pytest.raises(FitError) as excinfo:
@@ -295,6 +297,14 @@ class TestPlacement:
         broccoli = by_name["Broccoli"]
         assert (apple.x, apple.y, apple.residual) == (0.0, 0.0, 0.0)
         assert (broccoli.x, broccoli.y, broccoli.residual) == (10.0, 4.0, 0.0)
+
+    def test_columns_are_read_only_floats(self):
+        placements = PlacementMap(("a", "b"), [0, 1], [2, 3], [0, 0])
+        for column in (placements.x, placements.y, placements.residual):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+        assert placements.y.tolist() == [2.0, 3.0]
 
     def test_parity_picks_sides(self, synthetic_setup):
         table, field_a, field_b = synthetic_setup
@@ -865,9 +875,15 @@ class TestPhaseField:
             PhaseField(np.array([[0.0, 0.0], node]), [45.0, 90.0])
 
     def test_nodes_must_be_pairs(self):
-        with pytest.raises(ValidationError) as excinfo:
-            PhaseField(np.zeros(2), [1.0])
-        assert str(excinfo.value) == "nodes must be (n, 2), got (2,)"
+        for shape in [(2,), (2, 3), (0, 2)]:
+            with pytest.raises(ValidationError) as excinfo:
+                PhaseField(np.zeros(shape), np.zeros(shape[0]))
+            assert str(excinfo.value) == f"nodes must be (n, 2), got {shape}"
+
+    def test_nodes_and_phases_are_stored_as_floats(self):
+        field = PhaseField([[0, 0], [1, 0]], [10, 20])
+        assert field.nodes_xy.dtype == field.values_deg.dtype == np.float64
+        assert field.values_deg.tolist() == [10.0, 20.0]
 
     def test_coincident_nodes_read_the_first_node(self):
         # nodes 1 and 3 share (0, 0), nodes 2 and 4 share (1, 0)
@@ -902,6 +918,13 @@ class TestCosDeg:
         got = cos_deg(angles)
         mask = np.mod(angles, 180.0) != 90.0
         assert np.allclose(got[mask], expected[mask], atol=0)
+
+    def test_computes_in_double_precision(self):
+        # float32 angles are cosines of their float64 values, not float32 ones
+        angles = np.array([60.0, 30.0, 90.0], dtype=np.float32)
+        got = cos_deg(angles)
+        assert got.dtype == np.float64
+        assert got.tobytes() == cos_deg(angles.astype(float)).tobytes()
 
 
 class TestRenderGrids:
@@ -1160,18 +1183,22 @@ class TestRenderGrids:
         assert wavefield._usable_cpus() == usable
 
     def test_degenerate_window_rejected(self, reference_fields):
-        with pytest.raises(ValidationError, match="window"):
-            render_grids(
-                *reference_fields, _one_node(0.0), (1.0, 1.0, 0.0, 2.0)
-            )
+        for window in [(1.0, 1.0, 0.0, 2.0), (0.0, 2.0, 1.0, 1.0)]:
+            with pytest.raises(ValidationError) as excinfo:
+                render_grids(*reference_fields, _one_node(0.0), window)
+            assert str(excinfo.value) == f"degenerate window {window!r}"
 
     def test_tiny_resolution_rejected(self, reference_fields):
-        with pytest.raises(ValidationError, match="resolution"):
-            render_grids(
-                *reference_fields,
-                _one_node(0.0),
-                (0.0, 1.0, 0.0, 1.0),
-                (1, 1),
+        for resolution in [(1, 1), (1, 5), (5, 1)]:
+            with pytest.raises(ValidationError) as excinfo:
+                render_grids(
+                    *reference_fields,
+                    _one_node(0.0),
+                    (0.0, 1.0, 0.0, 1.0),
+                    resolution,
+                )
+            assert str(excinfo.value) == (
+                f"resolution must be at least 2x2, got {resolution!r}"
             )
 
 
