@@ -3,31 +3,32 @@
 
 Usage, from the root of a checkout:
 
-    python tests/mutation_gate.py [--jobs N] [MODULE ...]
+    python tests/mutation_gate.py
 
-MODULE names files of ``src/concept_interference`` (``solver.py``); the
-default is all of them.  The gate first runs the suite once in this process
-under a line tracer, as ``tests/statement_coverage.py`` does, and records the
-package lines each test ran, the lines of the fixtures it uses included.
-It then copies ``src/``, ``tests/``, ``demos/``, ``pyproject.toml`` and the
-Hypothesis database into one scratch directory per job, checks that the
-unchanged suite passes in each, and deletes the statements one at a time
+It first runs the suite once in this process under a line tracer, as
+``tests/statement_coverage.py`` does, and records the package lines each
+test ran.  It then copies ``src/``, ``tests/``, ``demos/``,
+``pyproject.toml`` and the Hypothesis database into one scratch directory
+per usable CPU, checks that the unchanged suite passes in each, and
+deletes the statements of ``src/concept_interference`` one at a time
 there; the checkout itself is never written.  A statement is every one the
 statement gate counts (docstrings and other bare strings, ``global``,
 ``nonlocal`` and ``pass`` are not), nested ones included, each deleted on
-its own.  A mutant runs ``pytest -x`` in a child process over the tests that
-ran the statement's lines, or over the whole suite for a statement that runs
-at import (module and class bodies) or that no traced test ran; a mutant the
-selected tests miss is run again over the whole suite before it counts as a
-survivor.  It is killed when pytest fails, errors or outlives a timeout of
-three times the unchanged suite's run plus a minute.
+its own.  A mutant runs ``pytest -x`` in a child process over the tests
+that ran the statement's lines, then, if those tests all pass, over the
+whole suite; a statement that runs at import (module and class bodies) or
+that no traced test ran goes straight to the whole suite.  The first stage
+only saves time: no mutant survives without a whole-suite run.  A mutant
+is killed when pytest fails, errors or outlives a timeout of three times
+the unchanged suite's run plus a minute.
 
 Children run with Hypothesis seed 0 and no deadline, without bytecode
 files, and with their address space capped at ``_ADDRESS_SPACE`` bytes, so
 that a mutant that drops a size guard fails instead of filling memory.
-Exits with pytest's status when the unchanged suite fails, 1 when a
-statement survives that ``ALLOWED`` does not explain or an ``ALLOWED`` entry
-no longer survives, and 0 otherwise.  This file is not collected by pytest.
+Exits with pytest's status when the traced suite fails, 1 when the
+unchanged suite fails in a scratch copy, when a statement survives that
+``ALLOWED`` does not explain or when an ``ALLOWED`` entry no longer
+survives, and 0 otherwise.  This file is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from statement_coverage import (
 )
 
 # Statements whose deletion no test notices, keyed "module:scope: first
-# line", each with the reason no test should.
+# line" (with " [2]", " [3]" ... on the later statements of a scope that
+# share a first line), each with the reason no test should.
 _LAZY = "each annotation of the module evaluates on Python 3.10, the oldest supported"
 _TYPE_ONLY = "the name is read by annotations only, which are never evaluated"
 _PEP8_RETURN = "falling off the end returns None too; PEP 8 asks for it spelled out"
@@ -80,14 +82,14 @@ _PYTEST_ARGS = ["-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
 
 
 class _LineMap:
-    """pytest plugin: the package lines (filename, line) each test ran, those
-    of its fixtures' setups included, as a session fixture sets up once."""
+    """pytest plugin: (filename, line) -> the ids of the tests that ran that
+    package line, in run order.  A fixture's setup counts for the test that
+    set it up, so a session fixture's lines go to the first test using it."""
 
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.lines: set[tuple[str, int]] = set()
-        self.fixtures: dict[str, set[tuple[str, int]]] = {}
-        self.tests: dict[str, tuple[set, list[str]]] = {}
+        self.tests: dict[tuple[str, int], list[str]] = {}
 
     def trace(self, frame, event, arg):
         return self._line if frame.f_code.co_filename.startswith(self.prefix) else None
@@ -98,30 +100,13 @@ class _LineMap:
         return self._line
 
     @pytest.hookimpl(wrapper=True)
-    def pytest_fixture_setup(self, fixturedef, request):
-        outer = self.lines
-        self.lines = self.fixtures.setdefault(fixturedef.argname, set())
-        try:
-            return (yield)
-        finally:
-            self.lines = outer
-
-    @pytest.hookimpl(wrapper=True)
     def pytest_runtest_protocol(self, item, nextitem):
         self.lines = set()
         try:
             return (yield)
         finally:
-            self.tests[item.nodeid] = self.lines, item.fixturenames
-
-    def covering(self) -> dict[tuple[str, int], list[str]]:
-        """(filename, line) -> the ids of the tests that ran it, in run order."""
-        tests: dict[tuple[str, int], list[str]] = {}
-        for nodeid, (lines, fixtures) in self.tests.items():
-            ran = lines.union(*(self.fixtures.get(name, ()) for name in fixtures))
-            for key in ran:
-                tests.setdefault(key, []).append(nodeid)
-        return tests
+            for line in self.lines:
+                self.tests.setdefault(line, []).append(item.nodeid)
 
 
 class _Select:
@@ -138,9 +123,10 @@ class _Mutant:
     """One statement of a module, deleted."""
 
     def __init__(
-        self, path: Path, source: bytes, node: ast.stmt, scope: str, at_import: bool
+        self, path: Path, source: bytes, node: ast.stmt, key: str, at_import: bool
     ):
         self.path = path
+        self.key = key
         self.at_import = at_import
         lines = source.splitlines(keepends=True)
         starts = [0]
@@ -156,19 +142,23 @@ class _Mutant:
         end = starts[node.end_lineno - 1] + node.end_col_offset
         self.text = source[:start] + b"pass" + source[end:]
         self.lines = range(first, node.end_lineno + 1)
-        head = lines[node.lineno - 1].decode("utf-8").strip()
-        self.key = f"{path.name}:{scope}: {head}"
-        self.where = f"{path.relative_to(ROOT)}:{node.lineno}: {scope}: {head}"
+        self.where = f"{path.relative_to(ROOT)}:{node.lineno}: {key.partition(':')[2]}"
 
 
 def _mutants(path: Path) -> list[_Mutant]:
     source = path.read_bytes()
+    lines = source.splitlines()
     found = []
+    seen: dict[str, int] = {}
 
     def visit(nodes, scope: str, at_import: bool):
         for node in nodes:
             if not (_not_a_statement(node) or isinstance(node, ast.Pass)):
-                found.append(_Mutant(path, source, node, scope, at_import))
+                key = f"{path.name}:{scope}: {lines[node.lineno - 1].decode('utf-8').strip()}"
+                seen[key] = seen.get(key, 0) + 1
+                if seen[key] > 1:
+                    key += f" [{seen[key]}]"
+                found.append(_Mutant(path, source, node, key, at_import))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
                 function = not isinstance(node, ast.ClassDef)
@@ -191,10 +181,6 @@ def _copy_checkout(copy: Path) -> Path:
     return copy
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
-
-
 def _run_suite(copy: Path, ids: list[str] | None, timeout: float | None) -> bool:
     """Whether pytest passes in ``copy``, over the tests ``ids`` (None: all)."""
     command = [sys.executable, str(copy / "tests" / Path(__file__).name), "--child"]
@@ -205,7 +191,7 @@ def _run_suite(copy: Path, ids: list[str] | None, timeout: float | None) -> bool
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run(
-            command, cwd=copy, env=env, timeout=timeout, preexec_fn=_limit_memory,
+            command, cwd=copy, env=env, timeout=timeout,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -214,6 +200,8 @@ def _run_suite(copy: Path, ids: list[str] | None, timeout: float | None) -> bool
 
 
 def _child(selection: str | None) -> int:
+    # the test processes this one starts inherit the cap
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
     plugins = [_NoDeadline()]
     args = [*_PYTEST_ARGS, "tests"]
     if selection is not None:
@@ -223,8 +211,9 @@ def _child(selection: str | None) -> int:
     return int(pytest.main(args, plugins=plugins))
 
 
-def _trace_suite() -> tuple[int, _LineMap]:
-    """pytest's status over the suite, traced, and the lines each test ran."""
+def _trace_suite() -> tuple[int, dict[tuple[str, int], list[str]]]:
+    """pytest's status over the suite, traced, and the tests that ran each
+    package line."""
     src = str(ROOT / "src")
     sys.path.insert(0, src)
     os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -241,27 +230,24 @@ def _trace_suite() -> tuple[int, _LineMap]:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), line_map
+    return int(status), line_map.tests
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--jobs", type=int, default=min(2, os.cpu_count() or 1))
     parser.add_argument("--child", nargs="?", const="", help=argparse.SUPPRESS)
-    parser.add_argument("modules", nargs="*", help="files of the package (default: all)")
     args = parser.parse_args(argv)
     if args.child is not None:
         return _child(args.child or None)
 
     began = time.monotonic()
-    status, line_map = _trace_suite()
+    status, covering = _trace_suite()
     if status != 0:
         return status
-    covering = line_map.covering()
-    names = args.modules or sorted(p.name for p in PACKAGE.glob("*.py"))
-    mutants = [m for name in names for m in _mutants(PACKAGE / name)]
+    from concept_interference.wavefield import _usable_cpus
 
-    jobs = max(1, args.jobs)
+    jobs = _usable_cpus()
+    mutants = [m for path in sorted(PACKAGE.glob("*.py")) for m in _mutants(path)]
     scratch = tempfile.TemporaryDirectory(prefix="mutation-gate-")
     copies: queue.Queue[Path] = queue.Queue()
     for job in range(jobs):
@@ -307,11 +293,11 @@ def main(argv=None) -> int:
                 survived.append(mutant)
 
     unexplained = [m for m in survived if m.key not in ALLOWED]
-    stale = {m.key for m in mutants} - {m.key for m in survived} & ALLOWED.keys()
+    stale = ALLOWED.keys() - {m.key for m in survived}
     for key in sorted(stale):
         print(f"allowlist entry no longer survives: {key}")
     print(
-        f"mutation gate: {len(mutants)} statements deleted in {len(names)} files, "
+        f"mutation gate: {len(mutants)} statements deleted with {jobs} jobs, "
         f"{len(mutants) - len(survived)} killed, {len(survived)} survived "
         f"({len(survived) - len(unexplained)} allowed) in {time.monotonic() - began:.0f} s"
     )
