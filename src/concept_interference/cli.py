@@ -47,13 +47,13 @@ from .wavefield import (
     DEFAULT_CENTER_B,
     DEFAULT_RESOLUTION,
     PhaseField,
+    _write_grid_csv,
+    _write_placements_csv,
     default_window,
     fit_gaussian_fields,
-    grid_to_csv,
     grid_to_pgm,
     interpolate_phase,
     place_exemplars,
-    placements_to_csv,
     render_grids,
 )
 
@@ -101,6 +101,9 @@ def _label_texts(solution: InterferenceSolution) -> list[str]:
 # Encodes JSON scalars as "[v1\nv2\n...]" in C; no value's text holds a raw newline.
 _VALUE_ENCODER = json.JSONEncoder(separators=("\n", ": "))
 
+# Rows of a column member encoded and written at a time.
+_CHUNK_ROWS = 512
+
 
 class _Columns(dict):
     """A report member held as columns: text keys, each naming a non-empty
@@ -110,19 +113,26 @@ class _Columns(dict):
     def rows(self) -> list[dict]:
         return [dict(zip(self, row)) for row in zip(*self.values())]
 
-    def text(self) -> str:
-        """``json.dumps(self.rows(), indent=2)`` one level deep, with one C
-        encode per distinct list."""
-        texts = {}
-        for column in self.values():
-            if id(column) not in texts:
-                texts[id(column)] = _VALUE_ENCODER.encode(column)[1:-1].split("\n")
+    def write(self, out) -> None:
+        """Write ``json.dumps(self.rows(), indent=2)`` one level deep to
+        ``out``, in chunks of _CHUNK_ROWS rows with one C encode per
+        distinct list's slice."""
         entries = ",\n".join(
             "      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
             for key in self
         )
-        rows = zip(*(texts[id(column)] for column in self.values()))
-        return "[\n" + ",\n".join(map(f"    {{\n{entries}\n    }}".__mod__, rows)) + "\n  ]"
+        row = f"    {{\n{entries}\n    }}".__mod__
+        lists = {id(column): column for column in self.values()}
+        separator = "[\n"
+        for start in range(0, len(next(iter(lists.values()))), _CHUNK_ROWS):
+            texts = {
+                ident: _VALUE_ENCODER.encode(column[start:start + _CHUNK_ROWS])[1:-1].split("\n")
+                for ident, column in lists.items()
+            }
+            out.write(separator)
+            out.write(",\n".join(map(row, zip(*(texts[id(c)] for c in self.values())))))
+            separator = ",\n"
+        out.write("\n  ]")
 
 
 def _column_report(raw, table, solution, error) -> dict:
@@ -210,30 +220,24 @@ def build_infeasible_report(
     return _expanded(_column_report(raw, table, None, error))
 
 
-def _encode_report(report: dict) -> str:
-    """``json.dumps(_expanded(report), indent=2) + "\\n"``, byte for byte.
+def _write_report(report: dict, out) -> None:
+    """Write ``json.dumps(_expanded(report), indent=2) + "\\n"`` to ``out``,
+    byte for byte.
 
     The indented standard-library encoder runs in pure Python; the column
-    members go through the C encoder instead, and every other top-level
-    value goes through ``json.dumps`` re-indented.  The report is a
-    non-empty dict with text keys, as the builders return.
+    members go through the C encoder a chunk of rows at a time instead, and
+    every other top-level value goes through ``json.dumps`` re-indented.
+    The report is a non-empty dict with text keys, as the builders return.
     """
-    members = []
+    separator = "{\n"
     for key, value in report.items():
+        out.write(f"{separator}  {encode_basestring_ascii(key)}: ")
         if type(value) is _Columns:
-            text = value.text()
+            value.write(out)
         else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        members.append(f"  {encode_basestring_ascii(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}\n"
-
-
-def _write_json(report: dict, output: str | None) -> None:
-    text = _encode_report(report)
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+            out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        separator = ",\n"
+    out.write("\n}\n")
 
 
 def _load_and_solve(args):
@@ -264,7 +268,12 @@ def _over_threshold(residuals) -> list[str]:
 
 def _run_solve(args) -> int:
     raw, table, solution, error = _load_and_solve(args)
-    _write_json(_column_report(raw, table, solution, error), args.output)
+    report = _column_report(raw, table, solution, error)
+    if args.output is None:
+        _write_report(report, sys.stdout)
+    else:
+        with open(args.output, "w", encoding="utf-8") as out:
+            _write_report(report, out)
     if error is not None:
         return _infeasible(error)
     residuals = solution.residuals
@@ -299,11 +308,11 @@ def _run_render(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, grid in grids.items():
-        (out_dir / f"{name}.csv").write_text(grid_to_csv(grid), encoding="utf-8")
+        with open(out_dir / f"{name}.csv", "w", encoding="utf-8") as out:
+            _write_grid_csv(grid, out)
         (out_dir / f"{name}.pgm").write_bytes(grid_to_pgm(grid))
-    (out_dir / "placements.csv").write_text(
-        placements_to_csv(placements), encoding="utf-8"
-    )
+    with open(out_dir / "placements.csv", "w", encoding="utf-8") as out:
+        _write_placements_csv(placements, out)
     print(f"wrote {len(grids) * 2 + 1} files to {out_dir}")
     return EXIT_OK
 

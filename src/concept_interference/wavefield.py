@@ -259,8 +259,11 @@ def cos_deg(degrees):
     implies interference == classical) hold bit-for-bit.
     """
     degrees = np.asarray(degrees, dtype=float)
-    out = np.cos(np.radians(degrees))
-    return np.where(np.mod(degrees, 180.0) == 90.0, 0.0, out)
+    # the mask first, from one array folded in place and let go before the
+    # cosines, so that no more planes are held at once than they need
+    boundary = np.abs(degrees, out=np.empty_like(degrees))
+    boundary = np.fmod(boundary, 180.0, out=boundary) == 90.0
+    return np.where(boundary, 0.0, np.cos(np.radians(degrees)))
 
 
 def fit_gaussian_fields(
@@ -511,15 +514,21 @@ def render_grids(
             for name, values in planes.items()}
 
 
+def _write_grid_csv(grid: RasterGrid, out) -> None:
+    """Write grid_to_csv's text to ``out``, converting one pixel row at a time."""
+    out.write(
+        f"{grid.x_min!r},{grid.x_max!r},{grid.y_min!r},{grid.y_max!r},"
+        f"{grid.width},{grid.height}\n"
+    )
+    for row in grid.values:
+        out.write(",".join(map(repr, row.tolist())) + "\n")
+
+
 def grid_to_csv(grid: RasterGrid) -> str:
     """CSV form: a window/size header line, then one row of reals per pixel row."""
-    lines = [
-        f"{grid.x_min!r},{grid.x_max!r},{grid.y_min!r},{grid.y_max!r},"
-        f"{grid.width},{grid.height}"
-    ]
-    for row in grid.values.tolist():
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    _write_grid_csv(grid, buffer)
+    return buffer.getvalue()
 
 
 def grid_to_pgm(grid: RasterGrid) -> bytes:
@@ -535,11 +544,16 @@ def grid_to_pgm(grid: RasterGrid) -> bytes:
     return f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii") + body
 
 
-def placements_to_csv(placements: PlacementMap) -> str:
-    """CSV export of the placement map: exemplar,x,y,residual."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_placements_csv(placements: PlacementMap, out) -> None:
+    """Write the placement map to ``out`` as CSV: exemplar,x,y,residual."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["exemplar", "x", "y", "residual"])
     columns = (placements.x, placements.y, placements.residual)
     writer.writerows(zip(placements.names, *(map(repr, c.tolist()) for c in columns)))
+
+
+def placements_to_csv(placements: PlacementMap) -> str:
+    """CSV export of the placement map: exemplar,x,y,residual."""
+    buffer = io.StringIO()
+    _write_placements_csv(placements, buffer)
     return buffer.getvalue()

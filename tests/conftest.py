@@ -75,6 +75,16 @@ def table_key(table: TypicalityTable) -> tuple:
     return (table.names, *columns, *labels, table.notes)
 
 
+class DiscardingSink:
+    """A text file that keeps only the count of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.size += len(text)
+
+
 def make_table(mu_a, mu_b, mu_ab, names=None, **kwargs) -> TypicalityTable:
     names = names or [f"E{i + 1}" for i in range(len(mu_a))]
     records = tuple(

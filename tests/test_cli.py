@@ -8,8 +8,10 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,16 +26,17 @@ from concept_interference import (
     wavefield,
 )
 from concept_interference.cli import (
+    _CHUNK_ROWS,
     _Columns,
     _column_report,
-    _encode_report,
+    _write_report,
     build_infeasible_report,
     build_solve_report,
     main,
 )
 from concept_interference.dataset import fruits_vegetables_csv
 
-from conftest import feasible_tables, solve_feasible
+from conftest import DiscardingSink, feasible_tables, make_table, solve_feasible
 
 INFEASIBLE_CSV = (
     "exemplar,mu_a,mu_b,mu_ab\n"
@@ -126,6 +129,13 @@ def _rows(columns: dict) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
+def _written(write, value) -> str:
+    """What ``write(value, out)`` writes to a text buffer."""
+    out = io.StringIO()
+    write(value, out)
+    return out.getvalue()
+
+
 @settings(max_examples=80, deadline=None)
 @given(reports())
 def test_encoder_writes_json_dumps_bytes(report):
@@ -133,7 +143,7 @@ def test_encoder_writes_json_dumps_bytes(report):
         key: _rows(value) if isinstance(value, _Columns) else value
         for key, value in report.items()
     }
-    assert _encode_report(report) == json.dumps(expanded, indent=2) + "\n"
+    assert _written(_write_report, report) == json.dumps(expanded, indent=2) + "\n"
 
 
 # lists of flat rows with JSON scalar values, which the encoder writes from
@@ -155,14 +165,38 @@ _SCALAR_ROWS = [
 @pytest.mark.parametrize("rows", _SCALAR_ROWS, ids=repr)
 def test_encoder_writes_scalar_rows_row_by_row(rows):
     columns = _Columns({key: [row[key] for row in rows] for key in rows[0]})
-    assert columns.text() == json.dumps(rows, indent=2).replace("\n", "\n  ")
+    assert _written(_Columns.write, columns) == json.dumps(rows, indent=2).replace("\n", "\n  ")
 
 
 def test_encoder_writes_a_shared_column_under_each_key():
-    shared = [0.1, -0.0, math.nan, 1e308]
-    rows = [{"a": v, "b": v, "c": i} for i, v in enumerate(shared)]
-    columns = _Columns(a=shared, b=shared, c=list(range(4)))
-    assert columns.text() == json.dumps(rows, indent=2).replace("\n", "\n  ")
+    """One list under two keys, on each side of the chunk boundaries."""
+    for length in (4, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1):
+        shared = [0.1, -0.0, math.nan, 1e308] + [k / 7 for k in range(4, length)]
+        rows = [{"a": v, "b": v, "c": i} for i, v in enumerate(shared)]
+        columns = _Columns(a=shared, b=shared, c=list(range(length)))
+        want = json.dumps(rows, indent=2).replace("\n", "\n  ")
+        assert _written(_Columns.write, columns) == want, length
+
+
+def test_report_writer_memory_does_not_grow_with_rows():
+    """An n = 20,000 report, about 11 MB of text, is written a few chunks
+    of rows at a time."""
+    n = 20_000
+    rng = np.random.default_rng(5)
+    mu_a, mu_b = (w / w.sum() for w in rng.uniform(0.05, 1.0, (2, n)))
+    deviations = 0.5 * np.sqrt(mu_a * mu_b) * np.resize([1.0, -1.0], n)
+    mu_ab = 0.5 * (mu_a + mu_b) + deviations - deviations.sum() / n
+    table = validate_and_normalize(make_table(mu_a, mu_b, mu_ab))
+    report = _column_report(table, table, solve(table), None)
+    sink = DiscardingSink()
+    tracemalloc.start()
+    try:
+        _write_report(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 10 * 2**20
+    assert peak < 2 * 2**20, peak
 
 
 # characters str.splitlines breaks a line at, which no name in a CSV holds
@@ -235,7 +269,7 @@ def test_solve_writes_json_dumps_of_the_report_dict(tmp_path_factory, data):
 )
 def test_encoder_falls_back_on_other_values(value):
     report = {"value": value, "after": None}
-    assert _encode_report(report) == json.dumps(report, indent=2) + "\n"
+    assert _written(_write_report, report) == json.dumps(report, indent=2) + "\n"
 
 
 @pytest.fixture()

@@ -27,7 +27,13 @@ from concept_interference import (
 from concept_interference import parse_table, validate_and_normalize, wavefield
 from concept_interference.wavefield import GaussianField, PlacementMap, cos_deg
 
-from conftest import feasible_columns, feasible_tables, make_table, solve_feasible
+from conftest import (
+    DiscardingSink,
+    feasible_columns,
+    feasible_tables,
+    make_table,
+    solve_feasible,
+)
 from reference_values import SIGMA_A, SIGMA_B
 
 
@@ -919,6 +925,24 @@ class TestCosDeg:
         mask = np.mod(angles, 180.0) != 90.0
         assert np.allclose(got[mask], expected[mask], atol=0)
 
+    def test_boundary_rule_matches_mod_180(self):
+        """The exact zero falls where np.mod(degrees, 180) == 90 would put
+        it: on the edges of the float range and on random bit patterns."""
+        edges = [math.nan, math.inf, 0.0, np.finfo(float).smallest_subnormal, 1e-310]
+        for center in (90.0, 270.0, 90.0 + 180.0 * 2**40):
+            below = above = center
+            edges.append(center)
+            for _ in range(6):  # 6 ulps on either side
+                below, above = np.nextafter(below, -math.inf), np.nextafter(above, math.inf)
+                edges += [below, above]
+        bits = np.random.default_rng(17).integers(0, 2**64, 100_000, dtype=np.uint64)
+        angles = np.concatenate([edges, np.negative(edges), bits.view(float)])
+        with np.errstate(invalid="ignore"):
+            want = np.where(np.mod(angles, 180.0) == 90.0, 0.0, np.cos(np.radians(angles)))
+            got = cos_deg(angles)
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got == 0.0) >= 6
+
     def test_computes_in_double_precision(self):
         # float32 angles are cosines of their float64 values, not float32 ones
         angles = np.array([60.0, 30.0, 90.0], dtype=np.float32)
@@ -1217,6 +1241,20 @@ class TestExports:
             [[float(cell) for cell in line.split(",")] for line in lines[1:]]
         )
         assert np.array_equal(parsed, grid.values)
+
+    def test_grid_csv_memory_does_not_grow_with_rows(self):
+        """A 1000 x 1000 grid, about 19 MB of text, is written a row at a time."""
+        values = np.random.default_rng(6).uniform(0.0, 1.0, (1000, 1000))
+        grid = wavefield.RasterGrid(1000, 1000, 0.0, 1.0, 0.0, 1.0, values)
+        sink = DiscardingSink()
+        tracemalloc.start()
+        try:
+            wavefield._write_grid_csv(grid, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 15 * 2**20
+        assert peak < 2**19, peak
 
     def test_pgm_structure_and_normalization(self, reference_render):
         grid = reference_render["interference"]
