@@ -101,8 +101,7 @@ def _label_texts(solution: InterferenceSolution) -> list[str]:
 # Encodes JSON scalars as "[v1\nv2\n...]" in C; no value's text holds a raw newline.
 _VALUE_ENCODER = json.JSONEncoder(separators=("\n", ": "))
 
-# Rows of a column member encoded and written at a time.
-_CHUNK_ROWS = 512
+_CHUNK_ROWS = 512  # rows of a column member encoded and written at a time
 
 
 class _Columns(dict):
@@ -221,8 +220,7 @@ def build_infeasible_report(
 
 
 def _write_report(report: dict, out) -> None:
-    """Write ``json.dumps(_expanded(report), indent=2) + "\\n"`` to ``out``,
-    byte for byte.
+    """Write ``json.dumps(_expanded(report), indent=2) + "\\n"`` to ``out`` exactly.
 
     The indented standard-library encoder runs in pure Python; the column
     members go through the C encoder a chunk of rows at a time instead, and

@@ -259,8 +259,7 @@ def cos_deg(degrees):
     implies interference == classical) hold bit-for-bit.
     """
     degrees = np.asarray(degrees, dtype=float)
-    # the mask first, from one array folded in place and let go before the
-    # cosines, so that no more planes are held at once than they need
+    # the mask first, folded in place and freed before the cosines: one plane less at peak
     boundary = np.abs(degrees, out=np.empty_like(degrees))
     boundary = np.fmod(boundary, 180.0, out=boundary) == 90.0
     return np.where(boundary, 0.0, np.cos(np.radians(degrees)))
